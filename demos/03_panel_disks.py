@@ -12,7 +12,6 @@ from plgraph import (
     LinearEmbedding,
     SpatialGraph,
     cone,
-    disk_segment_classify,
     panel_check,
     Segment,
 )
@@ -43,4 +42,4 @@ for seg, label in [
     (Segment(P(0, 0, -1), P(0, 0, 1)), "through a rim corner"),
     (Segment(P(1, 1, -1), P(1, 1, 1)), "through the apex of a closed fan"),
 ]:
-    print(label + ":", disk_segment_classify(disk, seg).kind)
+    print(label + ":", disk.classify_segment(seg).kind)

@@ -17,7 +17,6 @@ from plgraph import (
     build_scene,
     default_paper_config,
     disk_disk_classify,
-    disk_segment_classify,
 )
 from plgraph.scene import split_scene_embedding
 
@@ -41,6 +40,6 @@ x = psi.position["x"]
 print("\nsplit vertex at", tuple(float(c) for c in x.coords()))
 for name in ("a1", "c", "b1"):
     seg = Segment(psi.position[name], x)
-    verdict = disk_segment_classify(scene.gamma_prime, seg)
+    verdict = scene.gamma_prime.classify_segment(seg)
     print(f"segment {name}-x: {verdict.kind}")
 print("\nFor the grid-wide statement run: plgraph verify-star --demo")

@@ -39,7 +39,6 @@ from .disks import (
     TriPatch,
     cone,
     disk_disk_classify,
-    disk_segment_classify,
     panel_check,
 )
 from .graphs import (
@@ -91,8 +90,7 @@ __all__ = [
     "segment_segment_classify", "segment_triangle_classify",
     "triangle_triangle_intersection",
     # disks
-    "FanDisk", "TriPatch", "cone", "disk_segment_classify",
-    "disk_disk_classify", "panel_check",
+    "FanDisk", "TriPatch", "cone", "disk_disk_classify", "panel_check",
     # graphs
     "SpatialGraph", "LinearEmbedding", "validate_embedding", "contract_edge",
     "expand_to_psi", "enumerate_cycles",

@@ -185,14 +185,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="star_report.json", help="report path")
     p.add_argument("--full-dump", action="store_true",
                    help="serialize every placement, not just the summary and witnesses")
-    p.add_argument("--threads", type=int, default=1, help="worker process cap")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes, >= 1 (capped at the CPU count)")
     p.set_defaults(func=cmd_verify_star)
 
     p = sub.add_parser("equator", help="check the upper-hemisphere blocking claim")
     add_config_opts(p)
     p.add_argument("--samples", type=int, default=60, help="upper-hemisphere sample count")
     p.add_argument("--out", default="equator_report.json", help="report path")
-    p.add_argument("--threads", type=int, default=1, help="worker process cap")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes, >= 1 (capped at the CPU count)")
     p.set_defaults(func=cmd_equator)
 
     p = sub.add_parser("lk", help="pairwise linking numbers of an embedding's cycles")

@@ -50,36 +50,31 @@ def _tri_barycentric(tri, x: ExactPoint):
     return u, w1, w2
 
 
+def _disk_feature(fan: FanDisk, i: int, feat):
+    """The disk feature of feature ``feat`` of fan triangle i (apex, rim[i],
+    rim[i+1])."""
+    j = (i + 1) % len(fan.rim)
+    kind = feat[0]
+    if kind == "interior":
+        return ("face", i)
+    if kind == "edge":
+        return (("spoke", i), ("rim", i), ("spoke", j))[feat[1]]
+    return (("apex",), ("rimvert", i), ("rimvert", j))[feat[1]]
+
+
 def fan_contact_features(fan: FanDisk, seg: Segment) -> Tuple[bool, Set[tuple], Optional[ExactPoint]]:
     """(meets_interior, disk features touched, an interior witness or None).
 
     Independent of FanDisk.classify_segment: plane intersections are solved
     parametrically with Fractions and located barycentrically.
     """
-    m = len(fan.rim)
     meets_interior = False
     witness: Optional[ExactPoint] = None
     features: Set[tuple] = set()
 
-    def disk_feature(i: int, feat):
-        j = (i + 1) % m
-        kind = feat[0]
-        if kind == "interior":
-            return ("face", i)
-        if kind == "edge":
-            if feat[1] == 0:
-                return ("spoke", i)
-            if feat[1] == 1:
-                return ("rim", i)
-            return ("spoke", j)
-        k = feat[1]
-        if k == 0:
-            return ("apex",)
-        return ("rimvert", i) if k == 1 else ("rimvert", j)
-
     def note(i, feat, point):
         nonlocal meets_interior, witness
-        df = disk_feature(i, feat)
+        df = _disk_feature(fan, i, feat)
         features.add(df)
         if fan.feature_is_interior(df):
             meets_interior = True
@@ -97,11 +92,10 @@ def fan_contact_features(fan: FanDisk, seg: Segment) -> Tuple[bool, Set[tuple], 
             # Coplanar: clip the parameter interval by barycentric positivity.
             lo, hi = Fraction(0), Fraction(1)
             ok = True
+            wa = _tri_barycentric(tri, a)
+            wb = _tri_barycentric(tri, b)
             for corner in range(3):
-                ua, w1a, w2a = _tri_barycentric(tri, a)
-                ub, w1b, w2b = _tri_barycentric(tri, b)
-                fa = (ua, w1a, w2a)[corner]
-                fb = (ub, w1b, w2b)[corner]
+                fa, fb = wa[corner], wb[corner]
                 if fa < 0 and fb < 0:
                     ok = False
                     break
@@ -150,7 +144,6 @@ def fan_contact_features(fan: FanDisk, seg: Segment) -> Tuple[bool, Set[tuple], 
 
 def fan_meets_interior(fan: FanDisk, seg: Segment) -> bool:
     """Early-exit interior test through the independent route."""
-    m = len(fan.rim)
     a, b = seg.a, seg.b
     d = b - a
     for i, tri in enumerate(fan.triangles):
@@ -168,16 +161,7 @@ def fan_meets_interior(fan: FanDisk, seg: Segment) -> bool:
         else:
             x = a + d.scale(h0 / (h0 - h1))
         feat = _bary_feature(*_tri_barycentric(tri, x))
-        if feat is None:
-            continue
-        j = (i + 1) % m
-        if feat == ("interior",):
-            return True
-        if feat == ("edge", 0) and fan.feature_is_interior(("spoke", i)):
-            return True
-        if feat == ("edge", 2) and fan.feature_is_interior(("spoke", j)):
-            return True
-        if feat == ("vertex", 0) and fan.closed:
+        if feat is not None and fan.feature_is_interior(_disk_feature(fan, i, feat)):
             return True
     return False
 
@@ -203,13 +187,9 @@ def panel_check_bruteforce(d: FanDisk, embedding, cycle) -> Tuple[str, Optional[
             feat = _bary_feature(*_tri_barycentric(tri, p))
             if feat is None:
                 continue
-            j = (i + 1) % len(d.rim)
-            if feat == ("interior",):
-                return ("violated", ("vertex", v, ("face", i), p))
-            if feat == ("edge", 0) and d.feature_is_interior(("spoke", i)):
-                return ("violated", ("vertex", v, ("spoke", i), p))
-            if feat == ("edge", 2) and d.feature_is_interior(("spoke", j)):
-                return ("violated", ("vertex", v, ("spoke", j), p))
+            df = _disk_feature(d, i, feat)
+            if d.feature_is_interior(df):
+                return ("violated", ("vertex", v, df, p))
     for edge in embedding.graph.sorted_edges():
         u, w = tuple(sorted(edge, key=repr))
         seg = Segment(embedding.position[u], embedding.position[w])

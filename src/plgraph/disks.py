@@ -13,6 +13,7 @@ is exact; the hot paths run on cached integer vectors.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -29,11 +30,12 @@ from .exactgeom import (
     Triangle,
     _locate_in_plane,
     collinear,
+    edge_sign_feature,
     icross,
     idot,
     int_dir,
     orient3d,
-    orient3d_det,
+    plane_crossing,
     segment_triangle_contacts,
     sign,
     triangle_triangle_intersection,
@@ -252,9 +254,7 @@ class FanDisk:
     def _cross_point(self, i: int, s: Segment) -> ExactPoint:
         """Exact point where the segment crosses triangle i's plane."""
         t = self.triangles[i]
-        DA = orient3d_det(t.p, t.q, t.r, s.a)
-        DB = orient3d_det(t.p, t.q, t.r, s.b)
-        return s.point_at(DA / (DA - DB))
+        return plane_crossing(t.p, t.q, t.r, s.a, s.b)
 
     def classify_segment(self, s: Segment) -> "DiskSegmentResult":
         """Exact classification of a segment against this disk.
@@ -305,17 +305,7 @@ class FanDisk:
             want = -sa
             if (e1 != 0 and e1 != want) or (e2 != 0 and e2 != want) or (e3 != 0 and e3 != want):
                 continue
-            zeros = [k for k, e in enumerate((e1, e2, e3)) if e == 0]
-            if not zeros:
-                feat = ("interior",)
-            elif len(zeros) == 1:
-                feat = ("edge", zeros[0])
-            else:
-                k0, k1 = zeros
-                feat = ("vertex", 1) if (k0, k1) == (0, 1) else (
-                    ("vertex", 2) if (k0, k1) == (1, 2) else ("vertex", 0)
-                )
-            add(i, feat, lazy_cross=i)
+            add(i, edge_sign_feature(e1, e2, e3), lazy_cross=i)
         for i in slow:
             for c in segment_triangle_contacts(s, self.triangles[i]):
                 if c.kind == "point":
@@ -403,10 +393,6 @@ class DiskSegmentResult:
 
     def boundary_features(self) -> Tuple[DiskFeature, ...]:
         return tuple(c.feature for c in self.contacts)
-
-
-def disk_segment_classify(d: FanDisk, s: Segment) -> DiskSegmentResult:
-    return d.classify_segment(s)
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +560,9 @@ class TriPatch:
         self.triangles = triangles
         self.boundary_a = boundary_a
         self.boundary_b = boundary_b
+        # Edges of two strip triangles: open ones are inside the patch.
+        edge_count = Counter(_edge_key(t, k) for t in triangles for k in range(3))
+        self._shared_edges = {key for key, count in edge_count.items() if count == 2}
 
     @classmethod
     def between_polylines(cls, side_a: Sequence[ExactPoint], side_b: Sequence[ExactPoint]) -> "TriPatch":
@@ -627,28 +616,16 @@ class TriPatch:
     def segment_meets_open_patch(self, s: Segment) -> bool:
         """Does the segment meet the union of open strip triangles plus their
         shared open edges (the patch minus its outer boundary)?"""
-        edge_count = {}
-        for t in self.triangles:
-            v = t.vertices
-            for k in range(3):
-                key = frozenset((v[k].coords(), v[(k + 1) % 3].coords()))
-                edge_count[key] = edge_count.get(key, 0) + 1
         for t in self.triangles:
             for c in segment_triangle_contacts(s, t):
-                if c.kind == "segment":
-                    if c.feature == ("chord",):
-                        return True
-                    v = t.vertices
-                    k = c.feature[1]
-                    key = frozenset((v[k].coords(), v[(k + 1) % 3].coords()))
-                    if edge_count.get(key, 0) == 2:
-                        return True
-                elif c.feature == ("interior",):
+                if c.feature in (("interior",), ("chord",)):
                     return True
-                elif c.feature[0] == "edge":
-                    v = t.vertices
-                    k = c.feature[1]
-                    key = frozenset((v[k].coords(), v[(k + 1) % 3].coords()))
-                    if edge_count.get(key, 0) == 2:
-                        return True
+                if c.feature[0] == "edge" and _edge_key(t, c.feature[1]) in self._shared_edges:
+                    return True
         return False
+
+
+def _edge_key(t: Triangle, k: int) -> frozenset:
+    """Triangle t's edge k as an unordered pair of coordinates."""
+    v = t.vertices
+    return frozenset((v[k].coords(), v[(k + 1) % 3].coords()))

@@ -8,7 +8,9 @@ predicate twice on the same inputs gives identical results.
 The hot predicates (``orient3d`` and the plane-side tests built on it) run on
 cached integer representations of the points: each point caches
 ``(X, Y, Z, D)`` with ``D > 0`` and ``x = X/D`` etc., so a determinant sign
-reduces to integer arithmetic after cross-multiplying denominators.
+reduces to integer arithmetic after cross-multiplying denominators.  The
+point where a segment crosses a plane (:func:`plane_crossing`) comes from the
+same integers; only the crossing point itself is built as Fractions.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from .errors import DegenerateGeometryError
 
@@ -78,9 +80,6 @@ class ExactPoint:
     def __sub__(self, other: "ExactPoint") -> "ExactPoint":
         return ExactPoint(self.x - other.x, self.y - other.y, self.z - other.z)
 
-    def __neg__(self) -> "ExactPoint":
-        return ExactPoint(-self.x, -self.y, -self.z)
-
     def scale(self, k: Rational) -> "ExactPoint":
         k = frac(k)
         return ExactPoint(self.x * k, self.y * k, self.z * k)
@@ -114,9 +113,6 @@ class ExactPoint:
 
     def __repr__(self):
         return f"ExactPoint({self.x}, {self.y}, {self.z})"
-
-
-ORIGIN = ExactPoint(0, 0, 0)
 
 
 def int_dir(frm: ExactPoint, to: ExactPoint) -> Tuple[int, int, int]:
@@ -175,16 +171,19 @@ def orient3d(a: ExactPoint, b: ExactPoint, c: ExactPoint, d: ExactPoint) -> int:
     return 0
 
 
-def orient3d_det(a: ExactPoint, b: ExactPoint, c: ExactPoint, d: ExactPoint) -> Fraction:
-    """The exact rational determinant behind :func:`orient3d` (slower path).
+def plane_crossing(p: ExactPoint, q: ExactPoint, r: ExactPoint,
+                   a: ExactPoint, b: ExactPoint) -> ExactPoint:
+    """The point where segment ab crosses the plane through p, q, r.
 
-    Used where the magnitude matters, e.g. to solve for an intersection
-    parameter.
+    a and b must lie strictly on opposite sides of the plane.  Their signed
+    heights hA, hB are integers sharing one positive scale, so the crossing
+    parameter hA / (hA - hB) is exact and the same reduced Fraction as the
+    ratio of the true heights.
     """
-    u = b - a
-    v = c - a
-    w = d - a
-    return u.dot(v.cross(w))
+    n = icross(int_dir(p, q), int_dir(p, r))
+    ha = idot(n, int_dir(p, a)) * b.irep[3]
+    hb = idot(n, int_dir(p, b)) * a.irep[3]
+    return a + (b - a).scale(Fraction(ha, ha - hb))
 
 
 def collinear(a: ExactPoint, b: ExactPoint, c: ExactPoint) -> bool:
@@ -304,12 +303,76 @@ def segment_segment_classify(s: Segment, t: Segment) -> SegSegResult:
     return SegSegResult("endpoint-touch", point=pt)
 
 
+def _polyline_boxes(points: Sequence[ExactPoint], closed: bool):
+    """The polyline's segments with their exact bounding boxes."""
+    n = len(points)
+    out = []
+    for i in range(n if closed else n - 1):
+        s = Segment(points[i], points[(i + 1) % n])
+        (ax, ay, az), (bx, by, bz) = s.a.coords(), s.b.coords()
+        out.append((s, (min(ax, bx), max(ax, bx), min(ay, by), max(ay, by),
+                        min(az, bz), max(az, bz))))
+    return out
+
+
+def polyline_contact(points: Sequence[ExactPoint],
+                     other: Optional[Sequence[ExactPoint]] = None,
+                     closed: bool = False) -> Optional[Tuple[int, int, SegSegResult]]:
+    """The first pair of polyline segments that meet where they must not.
+
+    Segment i runs from point i to point i+1; a closed polyline's last
+    segment runs back to point 0.  Without ``other``, pairs i < j of the
+    polyline must be disjoint, except that consecutive segments may touch at
+    their shared vertex.  With ``other`` (``closed`` applies to it too),
+    every segment i of ``points`` and j of ``other`` must be disjoint.  Returns ``(i, j, result)``
+    for the first offender in (i, j) order, or None.  Pairs whose bounding
+    boxes are apart are disjoint and skip the predicate.
+    """
+    segs = _polyline_boxes(points, closed)
+    others = segs if other is None else _polyline_boxes(other, closed)
+    last = len(segs) - 1
+    for i, (s, bi) in enumerate(segs):
+        for j in range(i + 1 if other is None else 0, len(others)):
+            t, bj = others[j]
+            if bi[1] < bj[0] or bj[1] < bi[0] or bi[3] < bj[2] or bj[3] < bi[2] \
+                    or bi[5] < bj[4] or bj[5] < bi[4]:
+                continue
+            res = segment_segment_classify(s, t)
+            if res.kind == "disjoint":
+                continue
+            if other is None and res.kind == "endpoint-touch" and (
+                    (j == i + 1 and res.point == s.b)
+                    or (closed and i == 0 and j == last and res.point == s.a)):
+                continue
+            return i, j, res
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Segment / triangle classification
 # ---------------------------------------------------------------------------
 
 # Triangle features: ('interior',) | ('edge', k) | ('vertex', k).
 Feature = Tuple
+
+# Which edge signs are zero -> the feature of a point that is on no edge's
+# wrong side.  Edge k runs from vertex k to vertex k+1, so two zero edges meet
+# at the vertex they share.
+_FEATURE_BY_ZERO_EDGES = {
+    (False, False, False): ("interior",),
+    (True, False, False): ("edge", 0),
+    (False, True, False): ("edge", 1),
+    (False, False, True): ("edge", 2),
+    (True, True, False): ("vertex", 1),
+    (False, True, True): ("vertex", 2),
+    (True, False, True): ("vertex", 0),
+}
+
+
+def edge_sign_feature(e0: int, e1: int, e2: int) -> Feature:
+    """Triangle feature of a point from its three edge signs, given that
+    every nonzero sign says inside."""
+    return _FEATURE_BY_ZERO_EDGES[(e0 == 0, e1 == 0, e2 == 0)]
 
 
 @dataclass(frozen=True)
@@ -347,18 +410,7 @@ def _locate_in_plane(pt: ExactPoint, tri: Triangle) -> Optional[Feature]:
         sides.append(sign(e.cross(pt - v[k]).dot(n)))
     if any(s < 0 for s in sides):
         return None
-    zeros = [k for k in range(3) if sides[k] == 0]
-    if not zeros:
-        return ("interior",)
-    if len(zeros) == 1:
-        return ("edge", zeros[0])
-    # Two zero sides meet at the shared vertex.
-    k0, k1 = zeros
-    if (k0, k1) == (0, 1):
-        return ("vertex", 1)
-    if (k0, k1) == (1, 2):
-        return ("vertex", 2)
-    return ("vertex", 0)
+    return edge_sign_feature(*sides)
 
 
 def _coplanar_segment_triangle(s: Segment, tri: Triangle) -> list:
@@ -423,23 +475,8 @@ def segment_triangle_contacts(s: Segment, tri: Triangle) -> list:
     for e in (e1, e2, e3):
         if e != 0 and e != want:
             return []
-    DA = orient3d_det(tri.p, tri.q, tri.r, s.a)
-    DB = orient3d_det(tri.p, tri.q, tri.r, s.b)
-    pt = s.point_at(DA / (DA - DB))
-    zeros = [k for k, e in enumerate((e1, e2, e3)) if e == 0]
-    if not zeros:
-        feat: Feature = ("interior",)
-    elif len(zeros) == 1:
-        feat = ("edge", zeros[0])
-    else:
-        k0, k1 = zeros
-        if (k0, k1) == (0, 1):
-            feat = ("vertex", 1)
-        elif (k0, k1) == (1, 2):
-            feat = ("vertex", 2)
-        else:
-            feat = ("vertex", 0)
-    return [Contact("point", feat, point=pt)]
+    pt = plane_crossing(tri.p, tri.q, tri.r, s.a, s.b)
+    return [Contact("point", edge_sign_feature(e1, e2, e3), point=pt)]
 
 
 @dataclass(frozen=True)
@@ -546,9 +583,7 @@ def triangle_triangle_intersection(t1: Triangle, t2: Triangle):
         a, b = verts[k], verts[(k + 1) % 3]
         sa, sb = s2[k], s2[(k + 1) % 3]
         if sa * sb < 0:
-            DA = orient3d_det(t1.p, t1.q, t1.r, a)
-            DB = orient3d_det(t1.p, t1.q, t1.r, b)
-            section.append(a + (b - a).scale(DA / (DA - DB)))
+            section.append(plane_crossing(t1.p, t1.q, t1.r, a, b))
     section = _dedupe_points(section)
     if not section:
         return ("empty",)

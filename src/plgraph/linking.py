@@ -25,7 +25,7 @@ from .exactgeom import (
     Triangle,
     collinear,
     orient3d,
-    segment_segment_classify,
+    polyline_contact,
     segment_triangle_contacts,
 )
 
@@ -42,26 +42,11 @@ class ClosedPolygon:
         if len(pts) < 3:
             raise DegenerateGeometryError("closed polygon needs at least 3 distinct points")
         self.points = pts
-        n = len(pts)
-        segs = self.segments()
-        for i in range(n):
-            if pts[i] == pts[(i + 1) % n]:
-                raise DegenerateGeometryError("consecutive polygon points coincide")
-        for i in range(n):
-            for j in range(i + 1, n):
-                res = segment_segment_classify(segs[i], segs[j])
-                adjacent = (j == i + 1) or (i == 0 and j == n - 1)
-                if adjacent:
-                    shared = pts[j] if j == i + 1 else pts[0]
-                    if res.kind == "endpoint-touch" and res.point == shared:
-                        continue
-                    raise DegenerateGeometryError(
-                        f"polygon not simple: segments {i},{j} ({res.kind})"
-                    )
-                if res.kind != "disjoint":
-                    raise DegenerateGeometryError(
-                        f"polygon not simple: segments {i},{j} ({res.kind})"
-                    )
+        # Coinciding consecutive points fail as zero-length segments here.
+        hit = polyline_contact(pts, closed=True)
+        if hit is not None:
+            i, j, res = hit
+            raise DegenerateGeometryError(f"polygon not simple: segments {i},{j} ({res.kind})")
 
     def segments(self) -> List[Segment]:
         n = len(self.points)
@@ -75,10 +60,8 @@ class ClosedPolygon:
 
 
 def _check_disjoint(a: ClosedPolygon, b: ClosedPolygon):
-    for sa in a.segments():
-        for sb in b.segments():
-            if segment_segment_classify(sa, sb).kind != "disjoint":
-                raise CurvesIntersectError("curves are not disjoint")
+    if polyline_contact(a.points, b.points, closed=True) is not None:
+        raise CurvesIntersectError("curves are not disjoint")
 
 
 def _projector(direction: ExactPoint):

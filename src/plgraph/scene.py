@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .disks import FanDisk, TriPatch, cone, disk_disk_classify
 from .errors import ConfigError, SceneInvariantViolation, SpliceMismatchError
-from .exactgeom import ExactPoint, Segment, segment_segment_classify
+from .exactgeom import ExactPoint, Segment, polyline_contact
 from .jsonio import point_from_json, point_to_json, rat_from_json, rat_to_json
 
 RATIONAL_DENOM = 10 ** 6
@@ -343,48 +343,22 @@ class Scene:
 
 
 def _polyline_simple(points: Sequence[ExactPoint], what: str):
-    """Exact simplicity check for an open polyline, with bbox prefiltering."""
-    pts = list(points)
-    n = len(pts) - 1
-    segs = [Segment(pts[i], pts[i + 1]) for i in range(n)]
-    boxes = []
-    for s in segs:
-        (ax, ay, az), (bx, by, bz) = s.a.coords(), s.b.coords()
-        boxes.append((min(ax, bx), max(ax, bx), min(ay, by), max(ay, by),
-                      min(az, bz), max(az, bz)))
-    for i in range(n):
-        bi = boxes[i]
-        for j in range(i + 1, n):
-            bj = boxes[j]
-            if bi[1] < bj[0] or bj[1] < bi[0] or bi[3] < bj[2] or bj[3] < bi[2] \
-                    or bi[5] < bj[4] or bj[5] < bi[4]:
-                continue
-            res = segment_segment_classify(segs[i], segs[j])
-            if j == i + 1:
-                if res.kind == "endpoint-touch" and res.point == pts[j]:
-                    continue
-                raise SceneInvariantViolation(
-                    f"{what} is not simple at segments {i},{j} ({res.kind})",
-                    witness=(i, j, res),
-                )
-            if res.kind != "disjoint":
-                raise SceneInvariantViolation(
-                    f"{what} is not simple at segments {i},{j} ({res.kind})",
-                    witness=(i, j, res),
-                )
+    """Exact simplicity check for an open polyline."""
+    hit = polyline_contact(points)
+    if hit is not None:
+        i, j, res = hit
+        raise SceneInvariantViolation(
+            f"{what} is not simple at segments {i},{j} ({res.kind})", witness=hit
+        )
 
 
 def _polylines_disjoint(pa: Sequence[ExactPoint], pb: Sequence[ExactPoint], what: str):
-    sa = [Segment(pa[i], pa[i + 1]) for i in range(len(pa) - 1)]
-    sb = [Segment(pb[i], pb[i + 1]) for i in range(len(pb) - 1)]
-    for i, s1 in enumerate(sa):
-        for j, s2 in enumerate(sb):
-            res = segment_segment_classify(s1, s2)
-            if res.kind != "disjoint":
-                raise SceneInvariantViolation(
-                    f"{what}: segments {i},{j} are not disjoint ({res.kind})",
-                    witness=(i, j, res),
-                )
+    hit = polyline_contact(pa, pb)
+    if hit is not None:
+        i, j, res = hit
+        raise SceneInvariantViolation(
+            f"{what}: segments {i},{j} are not disjoint ({res.kind})", witness=hit
+        )
 
 
 def _subdivide_on_polyline(points: Sequence[ExactPoint], n: int) -> List[ExactPoint]:

@@ -18,11 +18,13 @@ segment through the cone's interior.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from . import crosscheck
 from .disks import FanDisk
+from .errors import ConfigError
 from .exactgeom import ExactPoint, Segment
 from .jsonio import point_to_json
 from .scene import Scene, SceneConfig, icosphere_directions
@@ -177,16 +179,39 @@ def _evaluate_placement(scene: Scene, anchors, k: int, x: ExactPoint) -> Placeme
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(scene: Scene):
-    _WORKER_STATE["scene"] = scene
-    _WORKER_STATE["anchors"] = _anchor_data(scene)
+def _worker_init(fn, args):
+    _WORKER_STATE["job"] = (fn, args)
 
 
-def _worker_chunk(args) -> List[Placement]:
-    start, xs = args
-    scene = _WORKER_STATE["scene"]
-    anchors = _WORKER_STATE["anchors"]
-    return [_evaluate_placement(scene, anchors, start + k, x) for k, x in enumerate(xs)]
+def _worker_chunk(chunk) -> list:
+    start, xs = chunk
+    fn, args = _WORKER_STATE["job"]
+    return [fn(*args, start + k, x) for k, x in enumerate(xs)]
+
+
+def _parallel_map(fn, args: tuple, xs: list, threads: int) -> list:
+    """``[fn(*args, k, x) for k, x in enumerate(xs)]``, serially or across
+    worker processes, in the order of ``xs`` either way.
+
+    ``threads`` must be at least 1; the number of workers is capped at the
+    CPU count (and at ``len(xs)``).  Workers are forked, so they inherit
+    ``fn`` and ``args`` (the built scene) without pickling them; forking is
+    safe because plgraph starts no threads.  ``multiprocessing`` is imported
+    only when workers are used, which keeps it out of serial runs' memory.
+    """
+    if threads < 1:
+        raise ConfigError("threads must be >= 1", "threads")
+    workers = min(threads, os.cpu_count() or 1, len(xs))
+    if workers <= 1:
+        return [fn(*args, k, x) for k, x in enumerate(xs)]
+    import multiprocessing
+
+    size = -(-len(xs) // (4 * workers))
+    chunks = [(s, xs[s: s + size]) for s in range(0, len(xs), size)]
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(processes=workers, initializer=_worker_init, initargs=(fn, args)) as pool:
+        parts = pool.map(_worker_chunk, chunks)
+    return [out for part in parts for out in part]
 
 
 def verify_star(scene: Scene, cfg: Optional[SceneConfig] = None,
@@ -199,25 +224,12 @@ def verify_star(scene: Scene, cfg: Optional[SceneConfig] = None,
     attaining it, each re-verified by the independent brute-force route (a
     mismatch raises).  The scan is deterministic for a fixed grid; placements
     are independent, so ``threads > 1`` distributes them across worker
-    processes with an order-independent merge.
+    processes (see :func:`_parallel_map`) without changing the report.
     """
     cfg = cfg or scene.config
     anchors = _anchor_data(scene)
     grid_points = cfg.grid.placements(scene.v, cfg.epsilon)
-    if threads > 1 and len(grid_points) > 1:
-        import multiprocessing
-
-        chunk = max(1, (len(grid_points) + 4 * threads - 1) // (4 * threads))
-        jobs = [(s, grid_points[s: s + chunk]) for s in range(0, len(grid_points), chunk)]
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=threads, initializer=_worker_init,
-                      initargs=(scene,)) as pool:
-            parts = pool.map(_worker_chunk, jobs)
-        placements = [p for part in parts for p in part]
-        placements.sort(key=lambda p: p.index)
-    else:
-        placements = [_evaluate_placement(scene, anchors, k, x)
-                      for k, x in enumerate(grid_points)]
+    placements = _parallel_map(_evaluate_placement, (scene, anchors), grid_points, threads)
     histogram: Dict[int, int] = {}
     skipped = 0
     for p in placements:
@@ -365,21 +377,6 @@ def _equator_row(scene: Scene, c_feature, samples, k: int, x: ExactPoint):
     return (k, blocked, counter, degenerate)
 
 
-def _equator_worker_init(scene: Scene, c_feature, samples):
-    _WORKER_STATE["equator"] = (scene, c_feature, samples)
-
-
-def _equator_worker_chunk(args):
-    start, xs = args
-    scene, c_feature, samples = _WORKER_STATE["equator"]
-    out = []
-    for k, x in enumerate(xs):
-        row = _equator_row(scene, c_feature, samples, start + k, x)
-        if row is not None:
-            out.append(row)
-    return out
-
-
 def check_equator_claim(scene: Scene, cfg: Optional[SceneConfig] = None,
                         sample_count: int = 60, threads: int = 1) -> EquatorReport:
     """Check: whenever the bottom anchor's segment misses the full cone, all
@@ -388,7 +385,7 @@ def check_equator_claim(scene: Scene, cfg: Optional[SceneConfig] = None,
     Counter-pairs are reported exactly; none is expected on the shipped
     configuration, and the short-arc control must produce some.  Placement
     rows are independent, so ``threads > 1`` distributes them across worker
-    processes with an order-independent merge.
+    processes (see :func:`_parallel_map`) without changing the report.
     """
     cfg = cfg or scene.config
     delta = scene.delta_disk
@@ -401,23 +398,8 @@ def check_equator_claim(scene: Scene, cfg: Optional[SceneConfig] = None,
             break
     samples = upper_sample_points(scene, sample_count)
     grid_points = cfg.grid.placements(scene.v, cfg.epsilon)
-    if threads > 1 and len(grid_points) > 1:
-        import multiprocessing
-
-        chunk = max(1, (len(grid_points) + 4 * threads - 1) // (4 * threads))
-        jobs = [(s, grid_points[s: s + chunk]) for s in range(0, len(grid_points), chunk)]
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=threads, initializer=_equator_worker_init,
-                      initargs=(scene, c_feature, samples)) as pool:
-            parts = pool.map(_equator_worker_chunk, jobs)
-        rows = [row for part in parts for row in part]
-        rows.sort(key=lambda row: row[0])
-    else:
-        rows = []
-        for k, x in enumerate(grid_points):
-            row = _equator_row(scene, c_feature, samples, k, x)
-            if row is not None:
-                rows.append(row)
+    rows = _parallel_map(_equator_row, (scene, c_feature, samples), grid_points, threads)
+    rows = [row for row in rows if row is not None]
     counter = []
     degenerate = []
     blocked = 0

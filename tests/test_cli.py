@@ -101,6 +101,14 @@ class TestVerifyStar:
         run_cli("verify-star", "--config", str(CONTROL), "--out", str(base))
         assert json.loads(out.read_text())["summary"] == json.loads(base.read_text())["summary"]
 
+    def test_threads_below_one_exits_1_naming_the_field(self, tmp_path):
+        out = tmp_path / "t.json"
+        proc = run_cli("verify-star", "--config", str(CONTROL), "--out", str(out),
+                       "--threads", "0")
+        assert proc.returncode == 1
+        assert "threads" in proc.stderr
+        assert not out.exists()
+
 
 class TestExport:
     def test_obj_groups_match_scene(self, tmp_path, control_scene):

@@ -11,7 +11,6 @@ from plgraph.disks import (
     TriPatch,
     cone,
     disk_disk_classify,
-    disk_segment_classify,
     panel_check,
 )
 from plgraph.errors import BoundaryMismatchError, FanConstructionError
@@ -86,43 +85,42 @@ FAN = cone(O, [P(1, 0, 0), P(0, 1, 0)])
 
 class TestDiskSegment:
     def test_transversal_through_open_triangle(self):
-        r = disk_segment_classify(
-            FAN, Segment(P(Fraction(1, 3), Fraction(1, 3), -1),
-                         P(Fraction(1, 3), Fraction(1, 3), 1))
+        r = FAN.classify_segment(
+            Segment(P(Fraction(1, 3), Fraction(1, 3), -1), P(Fraction(1, 3), Fraction(1, 3), 1))
         )
         assert r.kind == "meets-interior"
         assert r.witness == P(Fraction(1, 3), Fraction(1, 3), 0)
 
     def test_apex_is_boundary_of_open_fan(self):
-        r = disk_segment_classify(FAN, Segment(P(0, 0, -1), P(0, 0, 1)))
+        r = FAN.classify_segment(Segment(P(0, 0, -1), P(0, 0, 1)))
         assert r.kind == "boundary-only"
         assert r.boundary_features() == (("apex",),)
 
     def test_far_segment_disjoint(self):
-        r = disk_segment_classify(FAN, Segment(P(5, 5, -1), P(5, 5, 1)))
+        r = FAN.classify_segment(Segment(P(5, 5, -1), P(5, 5, 1)))
         assert r.kind == "disjoint"
 
     def test_inner_spoke_crossing_counts_as_interior(self):
         d = cone(O, [P(2, 0, 0), P(0, 2, 0), P(-2, 0, 0)])
         # Crosses the middle spoke (0,1,0)-direction strictly inside.
-        r = disk_segment_classify(d, Segment(P(0, 1, -1), P(0, 1, 1)))
+        r = d.classify_segment(Segment(P(0, 1, -1), P(0, 1, 1)))
         assert r.kind == "meets-interior"
         assert any(c.feature == ("spoke", 1) for c in r.contacts)
 
     def test_outer_spoke_is_boundary(self):
         d = cone(O, [P(2, 0, 0), P(0, 2, 0), P(-2, 0, 0)])
-        r = disk_segment_classify(d, Segment(P(1, 0, -1), P(1, 0, 1)))
+        r = d.classify_segment(Segment(P(1, 0, -1), P(1, 0, 1)))
         assert r.kind == "boundary-only"
         assert r.boundary_features() == (("spoke", 0),)
 
     def test_apex_of_closed_fan_is_interior(self):
         d = cone(O, [P(2, 0, 0), P(0, 2, 0), P(-2, 0, 0), P(0, -2, 0)], closed=True)
-        r = disk_segment_classify(d, Segment(P(0, 0, -1), P(0, 0, 1)))
+        r = d.classify_segment(Segment(P(0, 0, -1), P(0, 0, 1)))
         assert r.kind == "meets-interior"
 
     def test_shared_spoke_touch_reported_once(self):
         d = cone(O, [P(2, 0, 0), P(0, 2, 0), P(-2, 0, 0)])
-        r = disk_segment_classify(d, Segment(P(0, 1, -1), P(0, 1, 1)))
+        r = d.classify_segment(Segment(P(0, 1, -1), P(0, 1, 1)))
         assert len([c for c in r.contacts if c.feature == ("spoke", 1)]) == 1
 
     def test_agrees_with_independent_route(self):
@@ -141,7 +139,7 @@ class TestDiskSegment:
             if a == b:
                 continue
             seg = Segment(a, b)
-            res = disk_segment_classify(d, seg)
+            res = d.classify_segment(seg)
             meets, features, _w = fan_contact_features(d, seg)
             assert meets == (res.kind == "meets-interior")
             assert features == set(c.feature for c in res.contacts)
@@ -189,7 +187,7 @@ class TestDiskSegment:
             if a == b:
                 continue
             seg = Segment(a, b)
-            res = disk_segment_classify(d, seg)
+            res = d.classify_segment(seg)
             meets, feats, _w = fan_contact_features(d, seg)
             assert meets == (res.kind == "meets-interior")
             assert feats == set(c.feature for c in res.contacts)

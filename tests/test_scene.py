@@ -171,6 +171,28 @@ class TestStarScan:
             control_star.value.to_jsonable(full=True)
         )
 
+    def test_workers_capped_at_cpu_count(self, control_scene, control_star, monkeypatch):
+        import multiprocessing
+        import os
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        capped = verify_star(control_scene, threads=64)
+        assert canonical_dumps(capped.to_jsonable(full=True)) == canonical_dumps(
+            control_star.value.to_jsonable(full=True)
+        )
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, control_scene, threads):
+        with pytest.raises(ConfigError) as exc:
+            verify_star(control_scene, threads=threads)
+        assert exc.value.field == "threads"
+        with pytest.raises(ConfigError):
+            check_equator_claim(control_scene, sample_count=5, threads=threads)
+
     def test_scale_invariance(self, control_star):
         k = Fraction(7, 2)
         cfg = control_short_arc_config()
