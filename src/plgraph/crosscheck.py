@@ -5,6 +5,12 @@ aggregation logic in :mod:`plgraph.disks`: classifications are recomputed
 with plain Fraction arithmetic, parametric plane solves, and barycentric
 coordinates, then mapped to disk features by separate code.  Agreement
 between the two routes is asserted by the verifier and by the test suite.
+
+Each call reads the coordinates of the points it needs as Fraction triples
+and computes on those triples with the local helpers below, not with the
+:class:`ExactPoint` operators: the fast route runs on those operators, so a
+bug in them would otherwise reach both routes and the routes would agree on
+it.  Only the reported witness is built as an ExactPoint.
 """
 
 from __future__ import annotations
@@ -14,6 +20,37 @@ from typing import Optional, Set, Tuple
 
 from .disks import FanDisk
 from .exactgeom import ExactPoint, Segment
+
+
+def _sub(u, v):
+    return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _along(a, t, d):
+    """The point a + t d."""
+    return (a[0] + t * d[0], a[1] + t * d[1], a[2] + t * d[2])
+
+
+def _fan_triangles(fan: FanDisk):
+    """(i, (p, q, r, n)) for fan triangle i = (apex, rim[i], rim[i+1]) as
+    coordinate triples, with its normal n = (q - p) x (r - p).  Each rim
+    point and spoke vector r - p is built once, when the scan reaches it."""
+    p = fan.apex.coords()
+    r = fan.rim[0].coords()
+    rp = _sub(r, p)
+    for i in range(fan.n_triangles):
+        q, qp = r, rp
+        r = fan.rim[(i + 1) % len(fan.rim)].coords()
+        rp = _sub(r, p)
+        yield i, (p, q, r, _cross(qp, rp))
 
 
 def _bary_feature(u: Fraction, w1: Fraction, w2: Fraction):
@@ -37,16 +74,14 @@ def _bary_feature(u: Fraction, w1: Fraction, w2: Fraction):
     return ("vertex", 2)
 
 
-def _tri_barycentric(tri, x: ExactPoint):
+def _tri_barycentric(tri, x):
     """Barycentric coordinates of an in-plane point, unnormalized but with a
     positive common scale."""
-    p, q, r = tri.p, tri.q, tri.r
-    n = (q - p).cross(r - p)
-    nn = n.dot(n)
-    u = (q - x).cross(r - x).dot(n)   # weight of p
-    w1 = (r - x).cross(p - x).dot(n)  # weight of q
-    w2 = (p - x).cross(q - x).dot(n)  # weight of r
-    assert u + w1 + w2 == nn
+    p, q, r, n = tri
+    u = _dot(_cross(_sub(q, x), _sub(r, x)), n)   # weight of p
+    w1 = _dot(_cross(_sub(r, x), _sub(p, x)), n)  # weight of q
+    w2 = _dot(_cross(_sub(p, x), _sub(q, x)), n)  # weight of r
+    assert u + w1 + w2 == _dot(n, n)
     return u, w1, w2
 
 
@@ -69,7 +104,7 @@ def fan_contact_features(fan: FanDisk, seg: Segment) -> Tuple[bool, Set[tuple], 
     parametrically with Fractions and located barycentrically.
     """
     meets_interior = False
-    witness: Optional[ExactPoint] = None
+    witness = None
     features: Set[tuple] = set()
 
     def note(i, feat, point):
@@ -81,13 +116,12 @@ def fan_contact_features(fan: FanDisk, seg: Segment) -> Tuple[bool, Set[tuple], 
             if witness is None:
                 witness = point
 
-    a, b = seg.a, seg.b
-    d = b - a
-    for i, tri in enumerate(fan.triangles):
-        p = tri.p
-        n = (tri.q - p).cross(tri.r - p)
-        h0 = (a - p).dot(n)
-        h1 = (b - p).dot(n)
+    a, b = seg.a.coords(), seg.b.coords()
+    d = _sub(b, a)
+    apex = fan.apex.coords()
+    ap, bp = _sub(a, apex), _sub(b, apex)  # every fan triangle's p is the apex
+    for i, tri in _fan_triangles(fan):
+        h0, h1 = _dot(ap, tri[3]), _dot(bp, tri[3])
         if h0 == 0 and h1 == 0:
             # Coplanar: clip the parameter interval by barycentric positivity.
             lo, hi = Fraction(0), Fraction(1)
@@ -109,15 +143,15 @@ def fan_contact_features(fan: FanDisk, seg: Segment) -> Tuple[bool, Set[tuple], 
             if not ok or lo > hi:
                 continue
             if lo == hi:
-                x = seg.point_at(lo)
+                x = _along(a, lo, d)
                 feat = _bary_feature(*_tri_barycentric(tri, x))
                 if feat is not None:
                     note(i, feat, x)
                 continue
-            xm = seg.point_at((lo + hi) / 2)
+            xm = _along(a, (lo + hi) / 2, d)
             feat_mid = _bary_feature(*_tri_barycentric(tri, xm))
             for tend in (lo, hi):
-                x = seg.point_at(tend)
+                x = _along(a, tend, d)
                 feat = _bary_feature(*_tri_barycentric(tri, x))
                 if feat is not None:
                     note(i, feat, x)
@@ -134,23 +168,21 @@ def fan_contact_features(fan: FanDisk, seg: Segment) -> Tuple[bool, Set[tuple], 
             continue
         if (h0 > 0) == (h1 > 0):
             continue
-        t = h0 / (h0 - h1)
-        x = a + d.scale(t)
+        x = _along(a, h0 / (h0 - h1), d)
         feat = _bary_feature(*_tri_barycentric(tri, x))
         if feat is not None:
             note(i, feat, x)
-    return meets_interior, features, witness
+    return meets_interior, features, None if witness is None else ExactPoint(*witness)
 
 
 def fan_meets_interior(fan: FanDisk, seg: Segment) -> bool:
     """Early-exit interior test through the independent route."""
-    a, b = seg.a, seg.b
-    d = b - a
-    for i, tri in enumerate(fan.triangles):
-        p = tri.p
-        n = (tri.q - p).cross(tri.r - p)
-        h0 = (a - p).dot(n)
-        h1 = (b - p).dot(n)
+    a, b = seg.a.coords(), seg.b.coords()
+    d = _sub(b, a)
+    apex = fan.apex.coords()
+    ap, bp = _sub(a, apex), _sub(b, apex)
+    for i, tri in _fan_triangles(fan):
+        h0, h1 = _dot(ap, tri[3]), _dot(bp, tri[3])
         if h0 == 0 and h1 == 0:
             meets, _f, _w = fan_contact_features(fan, seg)
             return meets
@@ -159,7 +191,7 @@ def fan_meets_interior(fan: FanDisk, seg: Segment) -> bool:
         elif (h0 > 0) == (h1 > 0):
             continue
         else:
-            x = a + d.scale(h0 / (h0 - h1))
+            x = _along(a, h0 / (h0 - h1), d)
         feat = _bary_feature(*_tri_barycentric(tri, x))
         if feat is not None and fan.feature_is_interior(_disk_feature(fan, i, feat)):
             return True
@@ -173,23 +205,25 @@ def panel_check_bruteforce(d: FanDisk, embedding, cycle) -> Tuple[str, Optional[
     independent contact routine above; returns ('paneled', None) or
     ('violated', witness).
     """
+    apex = d.apex.coords()
+    triangles = list(_fan_triangles(d))
     for v in sorted(embedding.graph.vertices, key=repr):
-        p = embedding.position[v]
-        if p == d.apex:
+        pv = embedding.position[v]
+        x = pv.coords()
+        if x == apex:
             if d.closed:
-                return ("violated", ("vertex", v, ("apex",), p))
+                return ("violated", ("vertex", v, ("apex",), pv))
             continue
-        for i, tri in enumerate(d.triangles):
-            pp = tri.p
-            n = (tri.q - pp).cross(tri.r - pp)
-            if (p - pp).dot(n) != 0:
+        xp = _sub(x, apex)
+        for i, tri in triangles:
+            if _dot(xp, tri[3]) != 0:
                 continue
-            feat = _bary_feature(*_tri_barycentric(tri, p))
+            feat = _bary_feature(*_tri_barycentric(tri, x))
             if feat is None:
                 continue
             df = _disk_feature(d, i, feat)
             if d.feature_is_interior(df):
-                return ("violated", ("vertex", v, df, p))
+                return ("violated", ("vertex", v, df, pv))
     for edge in embedding.graph.sorted_edges():
         u, w = tuple(sorted(edge, key=repr))
         seg = Segment(embedding.position[u], embedding.position[w])

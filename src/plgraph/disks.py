@@ -33,7 +33,6 @@ from .exactgeom import (
     edge_sign_feature,
     icross,
     idot,
-    int_dir,
     orient3d,
     plane_crossing,
     segment_triangle_contacts,
@@ -105,14 +104,13 @@ class FanDisk:
         for i, p in enumerate(rim):
             if p == apex:
                 raise FanConstructionError("degenerate-triangle", ("rim-point-at-apex", i))
-            key = p.coords()
-            if key in seen:
+            if p in seen:
                 raise FanConstructionError("degenerate-triangle", ("duplicate-rim-point", i))
-            seen.add(key)
+            seen.add(p)
         self.apex = apex
         self.rim = rim
         self.closed = closed
-        self._idirs = [int_dir(apex, p) for p in rim]
+        self._idirs = [(p - apex).irep for p in rim]
         self._inormals = []
         self.triangles: List[Triangle] = []
         m = len(rim)
@@ -131,9 +129,6 @@ class FanDisk:
     @property
     def n_triangles(self) -> int:
         return len(self.triangles)
-
-    def spoke(self, i: int) -> Segment:
-        return Segment(self.apex, self.rim[i])
 
     def rim_chord(self, i: int) -> Segment:
         return Segment(self.rim[i], self.rim[(i + 1) % len(self.rim)])
@@ -251,11 +246,6 @@ class FanDisk:
 
     # -- segment classification ---------------------------------------------
 
-    def _cross_point(self, i: int, s: Segment) -> ExactPoint:
-        """Exact point where the segment crosses triangle i's plane."""
-        t = self.triangles[i]
-        return plane_crossing(t.p, t.q, t.r, s.a, s.b)
-
     def classify_segment(self, s: Segment) -> "DiskSegmentResult":
         """Exact classification of a segment against this disk.
 
@@ -275,8 +265,8 @@ class FanDisk:
             interior = self.feature_is_interior(dfeat) or tri_feat == ("chord",)
             entries[dfeat] = (interior, i, point, seg, lazy_cross)
 
-        va = int_dir(self.apex, s.a)
-        vb = int_dir(self.apex, s.b)
+        va = (s.a - self.apex).irep
+        vb = (s.b - self.apex).irep
         sides_a = [sign(idot(n, va)) for n in self._inormals]
         sides_b = [sign(idot(n, vb)) for n in self._inormals]
         slow: List[int] = []
@@ -324,7 +314,7 @@ class FanDisk:
         for dfeat in sorted(entries, key=_feature_key):
             interior, i, point, seg, lazy = entries[dfeat]
             if point is None and seg is None and lazy is not None:
-                point = self._cross_point(lazy, s)
+                point = plane_crossing(self.triangles[lazy], s.a, s.b)
             c = DiskContact(dfeat, point=point, seg=seg)
             contacts.append(c)
             if interior:
@@ -595,19 +585,19 @@ class TriPatch:
     def _validate(self):
         tris = self.triangles
         for i in range(len(tris)):
-            vi = set(p.coords() for p in tris[i].vertices)
+            vi = set(tris[i].vertices)
             for j in range(i + 1, len(tris)):
-                vj = set(p.coords() for p in tris[j].vertices)
+                vj = set(tris[j].vertices)
                 shared = vi & vj
                 ev = triangle_triangle_intersection(tris[i], tris[j])
                 if len(shared) == 2:
                     if ev[0] != "segment":
                         raise PatchConstructionError(f"strip pair {i},{j}: expected shared edge")
-                    got = {ev[1].coords(), ev[2].coords()}
+                    got = {ev[1], ev[2]}
                     if got != shared:
                         raise PatchConstructionError(f"strip pair {i},{j}: edge mismatch")
                 elif len(shared) == 1:
-                    if ev[0] != "point" or ev[1].coords() not in shared:
+                    if ev[0] != "point" or ev[1] not in shared:
                         raise PatchConstructionError(f"strip pair {i},{j}: expected shared vertex")
                 else:
                     if ev[0] != "empty":
@@ -626,6 +616,6 @@ class TriPatch:
 
 
 def _edge_key(t: Triangle, k: int) -> frozenset:
-    """Triangle t's edge k as an unordered pair of coordinates."""
+    """Triangle t's edge k as an unordered pair of points."""
     v = t.vertices
-    return frozenset((v[k].coords(), v[(k + 1) % 3].coords()))
+    return frozenset((v[k], v[(k + 1) % 3]))

@@ -1,23 +1,24 @@
 """Exact rational geometric kernel.
 
-Points live in R^3 with arbitrary-precision rational coordinates
-(``fractions.Fraction``).  Every predicate in this module is an exact sign
-computation; there are no tolerances and no floating point.  Running any
-predicate twice on the same inputs gives identical results.
+Points live in R^3 with arbitrary-precision rational coordinates.  Every
+predicate in this module is an exact sign computation; there are no
+tolerances and no floating point.  Running any predicate twice on the same
+inputs gives identical results.
 
-The hot predicates (``orient3d`` and the plane-side tests built on it) run on
-cached integer representations of the points: each point caches
-``(X, Y, Z, D)`` with ``D > 0`` and ``x = X/D`` etc., so a determinant sign
-reduces to integer arithmetic after cross-multiplying denominators.  The
-point where a segment crosses a plane (:func:`plane_crossing`) comes from the
-same integers; only the crossing point itself is built as Fractions.
+A point's only state is one canonical integer tuple ``(X, Y, Z, D)`` with
+``D > 0``, ``gcd(X, Y, Z, D) = 1`` and ``x = X/D`` etc.  Point arithmetic
+runs on those integers and reduces each result once; a determinant sign
+(``orient3d``) cross-multiplies the denominators and stays in integers.
+``fractions.Fraction`` appears as the read-only coordinate views ``x``,
+``y``, ``z`` (for JSON, reports and sort keys) and as the scalar type of dot
+products and segment parameters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence, Tuple, Union
 
 from .errors import DegenerateGeometryError
@@ -44,89 +45,79 @@ def sign(x) -> int:
 class ExactPoint:
     """A point of R^3 with exact rational coordinates.
 
-    Also doubles as a vector (difference of points); arithmetic is
-    componentwise and exact.
+    The state is ``irep = (X, Y, Z, D)``: ``D > 0`` and ``gcd(X, Y, Z, D) =
+    1``, so equal points have equal tuples.  ``x``, ``y`` and ``z`` are
+    Fraction views of it.  Also doubles as a vector (difference of points);
+    arithmetic is componentwise and exact.
     """
 
-    __slots__ = ("x", "y", "z", "_irep")
+    __slots__ = ("irep",)
 
     def __init__(self, x: Rational, y: Rational, z: Rational):
-        self.x = frac(x)
-        self.y = frac(y)
-        self.z = frac(z)
-        self._irep = None
+        # Reduced coordinates over the lcm of their denominators are canonical.
+        x, y, z = frac(x), frac(y), frac(z)
+        dx, dy, dz = x.denominator, y.denominator, z.denominator
+        d = lcm(dx, dy, dz)
+        self.irep = (x.numerator * (d // dx), y.numerator * (d // dy), z.numerator * (d // dz), d)
 
-    @property
-    def irep(self) -> Tuple[int, int, int, int]:
-        """Integer representation ``(X, Y, Z, D)`` with ``D > 0``."""
-        r = self._irep
-        if r is None:
-            d = lcm(self.x.denominator, self.y.denominator, self.z.denominator)
-            r = (
-                self.x.numerator * (d // self.x.denominator),
-                self.y.numerator * (d // self.y.denominator),
-                self.z.numerator * (d // self.z.denominator),
-                d,
-            )
-            self._irep = r
-        return r
+    x = property(lambda self: Fraction(self.irep[0], self.irep[3]))
+    y = property(lambda self: Fraction(self.irep[1], self.irep[3]))
+    z = property(lambda self: Fraction(self.irep[2], self.irep[3]))
 
     def coords(self) -> Tuple[Fraction, Fraction, Fraction]:
         return (self.x, self.y, self.z)
 
     def __add__(self, other: "ExactPoint") -> "ExactPoint":
-        return ExactPoint(self.x + other.x, self.y + other.y, self.z + other.z)
+        X, Y, Z, D = self.irep
+        U, V, W, E = other.irep
+        return _point(X * E + U * D, Y * E + V * D, Z * E + W * D, D * E)
 
     def __sub__(self, other: "ExactPoint") -> "ExactPoint":
-        return ExactPoint(self.x - other.x, self.y - other.y, self.z - other.z)
+        X, Y, Z, D = self.irep
+        U, V, W, E = other.irep
+        return _point(X * E - U * D, Y * E - V * D, Z * E - W * D, D * E)
 
     def scale(self, k: Rational) -> "ExactPoint":
         k = frac(k)
-        return ExactPoint(self.x * k, self.y * k, self.z * k)
+        X, Y, Z, D = self.irep
+        n = k.numerator
+        return _point(X * n, Y * n, Z * n, D * k.denominator)
 
     def dot(self, other: "ExactPoint") -> Fraction:
-        return self.x * other.x + self.y * other.y + self.z * other.z
+        return Fraction(idot(self.irep, other.irep), self.irep[3] * other.irep[3])
 
     def cross(self, other: "ExactPoint") -> "ExactPoint":
-        return ExactPoint(
-            self.y * other.z - self.z * other.y,
-            self.z * other.x - self.x * other.z,
-            self.x * other.y - self.y * other.x,
-        )
+        return _point(*icross(self.irep, other.irep), self.irep[3] * other.irep[3])
 
     def norm2(self) -> Fraction:
         return self.dot(self)
 
     def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0 and self.z == 0
+        X, Y, Z, _ = self.irep
+        return X == 0 and Y == 0 and Z == 0
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExactPoint)
-            and self.x == other.x
-            and self.y == other.y
-            and self.z == other.z
-        )
+        return isinstance(other, ExactPoint) and self.irep == other.irep
 
     def __hash__(self):
-        return hash((self.x, self.y, self.z))
+        return hash(self.irep)
 
     def __repr__(self):
         return f"ExactPoint({self.x}, {self.y}, {self.z})"
 
 
-def int_dir(frm: ExactPoint, to: ExactPoint) -> Tuple[int, int, int]:
-    """Integer vector positively proportional to ``to - frm``.
+def _point(X: int, Y: int, Z: int, D: int) -> ExactPoint:
+    """The point (X/D, Y/D, Z/D) for D > 0, in canonical form."""
+    g = gcd(X, Y, Z, D)
+    if g != 1:
+        X, Y, Z, D = X // g, Y // g, Z // g, D // g
+    p = object.__new__(ExactPoint)
+    p.irep = (X, Y, Z, D)
+    return p
 
-    The true difference is this vector divided by the product of the two
-    (positive) denominators, so every sign test on it is exact.
-    """
-    fx, fy, fz, fd = frm.irep
-    tx, ty, tz, td = to.irep
-    return (tx * fd - fx * td, ty * fd - fy * td, tz * fd - fz * td)
 
-
-def icross(u: Tuple[int, int, int], v: Tuple[int, int, int]) -> Tuple[int, int, int]:
+def icross(u: Sequence[int], v: Sequence[int]) -> Tuple[int, int, int]:
+    """Cross product of the first three entries of two integer vectors."""
     return (
         u[1] * v[2] - u[2] * v[1],
         u[2] * v[0] - u[0] * v[2],
@@ -134,7 +125,8 @@ def icross(u: Tuple[int, int, int], v: Tuple[int, int, int]) -> Tuple[int, int, 
     )
 
 
-def idot(u: Tuple[int, int, int], v: Tuple[int, int, int]) -> int:
+def idot(u: Sequence[int], v: Sequence[int]) -> int:
+    """Dot product of the first three entries of two integer vectors."""
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
@@ -171,19 +163,15 @@ def orient3d(a: ExactPoint, b: ExactPoint, c: ExactPoint, d: ExactPoint) -> int:
     return 0
 
 
-def plane_crossing(p: ExactPoint, q: ExactPoint, r: ExactPoint,
-                   a: ExactPoint, b: ExactPoint) -> ExactPoint:
-    """The point where segment ab crosses the plane through p, q, r.
+def plane_crossing(tri: Triangle, a: ExactPoint, b: ExactPoint) -> ExactPoint:
+    """The point where segment ab crosses the triangle's plane.
 
-    a and b must lie strictly on opposite sides of the plane.  Their signed
-    heights hA, hB are integers sharing one positive scale, so the crossing
-    parameter hA / (hA - hB) is exact and the same reduced Fraction as the
-    ratio of the true heights.
+    a and b must lie strictly on opposite sides of the plane, so their
+    signed heights hA, hB differ and the crossing parameter is
+    hA / (hA - hB).
     """
-    n = icross(int_dir(p, q), int_dir(p, r))
-    ha = idot(n, int_dir(p, a)) * b.irep[3]
-    hb = idot(n, int_dir(p, b)) * a.irep[3]
-    return a + (b - a).scale(Fraction(ha, ha - hb))
+    ha, hb = (a - tri.p).dot(tri.normal), (b - tri.p).dot(tri.normal)
+    return a + (b - a).scale(ha / (ha - hb))
 
 
 def collinear(a: ExactPoint, b: ExactPoint, c: ExactPoint) -> bool:
@@ -221,25 +209,27 @@ class Triangle:
     """A non-degenerate triangle.  Vertices are ordered; edge k runs from
     vertex k to vertex (k+1) mod 3."""
 
-    __slots__ = ("p", "q", "r", "_normal")
+    __slots__ = ("p", "q", "r", "normal")
 
     def __init__(self, p: ExactPoint, q: ExactPoint, r: ExactPoint):
-        if (q - p).cross(r - p).is_zero():
+        normal = (q - p).cross(r - p)
+        if normal.is_zero():
             raise DegenerateGeometryError(f"collinear triangle: {p!r}, {q!r}, {r!r}")
         self.p = p
         self.q = q
         self.r = r
-        self._normal = None
+        self.normal = normal
 
     @property
     def vertices(self) -> Tuple[ExactPoint, ExactPoint, ExactPoint]:
         return (self.p, self.q, self.r)
 
-    @property
-    def normal(self) -> ExactPoint:
-        if self._normal is None:
-            self._normal = (self.q - self.p).cross(self.r - self.p)
-        return self._normal
+    def edge_side(self, k: int, x: ExactPoint) -> Fraction:
+        """A value whose sign says where the in-plane point x lies against
+        edge k's line: positive on the triangle's side, zero on the line,
+        negative beyond it."""
+        v = self.vertices
+        return (v[(k + 1) % 3] - v[k]).cross(x - v[k]).dot(self.normal)
 
     def edge(self, k: int) -> Segment:
         v = self.vertices
@@ -402,12 +392,7 @@ def _locate_in_plane(pt: ExactPoint, tri: Triangle) -> Optional[Feature]:
 
     Returns ('interior',), ('edge', k), ('vertex', k), or None if outside.
     """
-    n = tri.normal
-    v = tri.vertices
-    sides = []
-    for k in range(3):
-        e = v[(k + 1) % 3] - v[k]
-        sides.append(sign(e.cross(pt - v[k]).dot(n)))
+    sides = [sign(tri.edge_side(k, pt)) for k in range(3)]
     if any(s < 0 for s in sides):
         return None
     return edge_sign_feature(*sides)
@@ -415,14 +400,12 @@ def _locate_in_plane(pt: ExactPoint, tri: Triangle) -> Optional[Feature]:
 
 def _coplanar_segment_triangle(s: Segment, tri: Triangle) -> list:
     """Contacts of a segment lying in the triangle's plane (exact clip)."""
-    n = tri.normal
     v = tri.vertices
     u = s.b - s.a
     lo, hi = Fraction(0), Fraction(1)
     for k in range(3):
-        e = v[(k + 1) % 3] - v[k]
-        h0 = e.cross(s.a - v[k]).dot(n)
-        h1 = e.cross(s.b - v[k]).dot(n)
+        h0 = tri.edge_side(k, s.a)
+        h1 = tri.edge_side(k, s.b)
         if h0 < 0 and h1 < 0:
             return []
         if h0 >= 0 and h1 >= 0:
@@ -475,7 +458,7 @@ def segment_triangle_contacts(s: Segment, tri: Triangle) -> list:
     for e in (e1, e2, e3):
         if e != 0 and e != want:
             return []
-    pt = plane_crossing(tri.p, tri.q, tri.r, s.a, s.b)
+    pt = plane_crossing(tri, s.a, s.b)
     return [Contact("point", edge_sign_feature(e1, e2, e3), point=pt)]
 
 
@@ -515,25 +498,14 @@ def segment_triangle_classify(s: Segment, tri: Triangle) -> SegTriResult:
 # Triangle / triangle intersection
 # ---------------------------------------------------------------------------
 
-def _dedupe_points(points):
-    out = []
-    for p in points:
-        if all(p != q for q in out):
-            out.append(p)
-    return out
-
-
 def _clip_polygon_in_plane(poly, tri: Triangle):
     """Clip a convex in-plane polygon by the triangle's three half-planes."""
-    n = tri.normal
-    v = tri.vertices
     pts = list(poly)
     for k in range(3):
         if not pts:
             return []
-        e = v[(k + 1) % 3] - v[k]
         keep = []
-        hs = [e.cross(p - v[k]).dot(n) for p in pts]
+        hs = [tri.edge_side(k, p) for p in pts]
         m = len(pts)
         for i in range(m):
             j = (i + 1) % m
@@ -543,7 +515,7 @@ def _clip_polygon_in_plane(poly, tri: Triangle):
             if (hi_ > 0 and hj < 0) or (hi_ < 0 and hj > 0):
                 t = hi_ / (hi_ - hj)
                 keep.append(pts[i] + (pts[j] - pts[i]).scale(t))
-        pts = _dedupe_points(keep)
+        pts = list(dict.fromkeys(keep))
     return pts
 
 
@@ -563,7 +535,6 @@ def triangle_triangle_intersection(t1: Triangle, t2: Triangle):
     if s2 == [0, 0, 0]:
         # Coplanar: clip t2 against t1 within the shared plane.
         pts = _clip_polygon_in_plane(list(t2.vertices), t1)
-        pts = _dedupe_points(pts)
         if not pts:
             return ("empty",)
         if len(pts) == 1:
@@ -583,8 +554,8 @@ def triangle_triangle_intersection(t1: Triangle, t2: Triangle):
         a, b = verts[k], verts[(k + 1) % 3]
         sa, sb = s2[k], s2[(k + 1) % 3]
         if sa * sb < 0:
-            section.append(plane_crossing(t1.p, t1.q, t1.r, a, b))
-    section = _dedupe_points(section)
+            section.append(plane_crossing(t1, a, b))
+    section = list(dict.fromkeys(section))
     if not section:
         return ("empty",)
     if len(section) == 1:

@@ -91,12 +91,12 @@ def validate_embedding(e: LinearEmbedding) -> ValidationResult:
     one concrete witness otherwise.
     """
     verts = e.graph.sorted_vertices()
-    seen: Dict[tuple, Vertex] = {}
+    seen: Dict[ExactPoint, Vertex] = {}
     for v in verts:
-        key = e.position[v].coords()
-        if key in seen:
-            return ValidationResult(False, ("vertex-vertex", seen[key], v))
-        seen[key] = v
+        p = e.position[v]
+        if p in seen:
+            return ValidationResult(False, ("vertex-vertex", seen[p], v))
+        seen[p] = v
     edges = e.graph.sorted_edges()
     # Degenerate edges are impossible once positions are distinct.
     segs = {ed: e.edge_segment(ed) for ed in edges}

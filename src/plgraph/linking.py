@@ -65,19 +65,19 @@ def _check_disjoint(a: ClosedPolygon, b: ClosedPolygon):
 
 
 def _projector(direction: ExactPoint):
-    """An exact linear map R^3 -> R^2 whose kernel is span(direction)."""
-    d = direction
-    comps = [abs(d.x), abs(d.y), abs(d.z)]
-    k = comps.index(max(comps))
-    if k == 0:
-        def proj(p):
-            return (p.y * d.x - p.x * d.y, p.z * d.x - p.x * d.z)
-    elif k == 1:
-        def proj(p):
-            return (p.x * d.y - p.y * d.x, p.z * d.y - p.y * d.z)
-    else:
-        def proj(p):
-            return (p.x * d.z - p.z * d.x, p.y * d.z - p.z * d.y)
+    """An exact linear map R^3 -> R^2 whose kernel is span(direction).
+
+    It reads the direction's integer tuple, dropping its positive
+    denominator: a common scale no equality, sign or ratio test can see.
+    """
+    d = direction.irep
+    k = max(range(3), key=lambda c: abs(d[c]))
+    i, j = (c for c in range(3) if c != k)
+    di, dj, dk = d[i], d[j], d[k]
+
+    def proj(p):
+        P = p.irep
+        return (Fraction(P[i] * dk - P[k] * di, P[3]), Fraction(P[j] * dk - P[k] * dj, P[3]))
     return proj
 
 
@@ -305,13 +305,13 @@ def pairwise_link_scan(e, max_cycle_len: int) -> LinkReport:
     if not res.valid:
         raise CurvesIntersectError(f"embedding invalid: {res.witness!r}")
     cycles = enumerate_cycles(e.graph, max_cycle_len)
+    polygons = [ClosedPolygon([e.position[v] for v in c]) for c in cycles]
     pairs: List[LinkPair] = []
     for i in range(len(cycles)):
         for j in range(i + 1, len(cycles)):
             if set(cycles[i]) & set(cycles[j]):
                 continue
-            pa = ClosedPolygon([e.position[v] for v in cycles[i]])
-            pb = ClosedPolygon([e.position[v] for v in cycles[j]])
+            pa, pb = polygons[i], polygons[j]
             direction = find_generic_direction(pa, pb)
             lk_proj = linking_number_projection(pa, pb, direction)
             apex = find_generic_apex(pa, pb)

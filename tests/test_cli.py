@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, reports, manifests, reproducibility."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,14 +9,19 @@ from pathlib import Path
 from plgraph.jsonio import canonical_dumps
 from plgraph.scene import control_short_arc_config
 
-PKG_DATA = Path(__file__).resolve().parents[1] / "src" / "plgraph" / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
+PKG_DATA = SRC / "plgraph" / "data"
 CONTROL = PKG_DATA / "control_short_arc.json"
 
 
 def run_cli(*args, cwd=None):
+    """Run ``python -m plgraph`` on this checkout's sources, whatever else is
+    on the caller's path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "plgraph", *args],
-        capture_output=True, text=True, cwd=cwd,
+        capture_output=True, text=True, cwd=cwd, env=env,
     )
     return proc
 

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 import pytest
 
@@ -69,6 +70,88 @@ def test_rational_scalars_are_canonical():
     assert x + Fraction(3, 4) == 0
     assert Fraction(1, 3) / Fraction(7, 9) == Fraction(3, 7)
     assert P(Fraction(2, 4), 0, 0) == P(Fraction(1, 2), 0, 0)
+
+
+def _ref_coord(rng):
+    """A degenerate-heavy rational: 0, +-1, small shared or coprime
+    denominators, or a numerator near 10**30."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:
+        return Fraction(rng.choice((-1, 1)))
+    if kind == 2:
+        return Fraction(rng.randint(-12, 12), 6)
+    if kind == 3:
+        return Fraction(rng.randint(-40, 40), rng.choice((7, 11, 13, 64)))
+    if kind == 4:
+        return Fraction(rng.choice((-1, 1)) * (10**30 + rng.randint(0, 999)),
+                        rng.randint(1, 9))
+    return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+
+
+def _ref_triple(rng):
+    return tuple(_ref_coord(rng) for _ in range(3))
+
+
+def _assert_canonical(p, ref):
+    X, Y, Z, D = p.irep
+    assert D > 0
+    assert gcd(X, Y, Z, D) == 1
+    assert (Fraction(X, D), Fraction(Y, D), Fraction(Z, D)) == tuple(ref)
+    assert (p.x, p.y, p.z) == p.coords() == tuple(ref)
+
+
+def test_point_operators_match_fraction_triples():
+    """Each ExactPoint operator against plain Fraction-triple arithmetic, and
+    every result in canonical form: D > 0 and gcd(X, Y, Z, D) = 1."""
+    rng = random.Random(31)
+    for _ in range(400):
+        u, v = _ref_triple(rng), _ref_triple(rng)
+        if rng.random() < 0.2:
+            v = u  # equal points: the difference is exactly zero
+        k = rng.choice((0, -1, Fraction(-3, 7), _ref_coord(rng)))
+        p, q = P(*u), P(*v)
+        _assert_canonical(p, u)
+        _assert_canonical(p + q, [a + b for a, b in zip(u, v)])
+        _assert_canonical(p - q, [a - b for a, b in zip(u, v)])
+        _assert_canonical(p.scale(k), [a * k for a in u])
+        _assert_canonical(p.cross(q), (u[1] * v[2] - u[2] * v[1],
+                                       u[2] * v[0] - u[0] * v[2],
+                                       u[0] * v[1] - u[1] * v[0]))
+        assert p.dot(q) == sum(a * b for a, b in zip(u, v))
+        assert p.norm2() == sum(a * a for a in u)
+        assert (p - q).is_zero() == (u == v)
+        assert (p == q) == (u == v)
+        if u == v:
+            assert hash(p) == hash(q)
+        assert (p - p).irep == (0, 0, 0, 1)
+        assert p.scale(0).irep == (0, 0, 0, 1)
+
+
+def test_equal_points_compare_and_hash_equal():
+    half = [P("1/2", 0, -1), P(Fraction(2, 4), 0, -1),
+            P(1, 0, -2).scale(Fraction(1, 2)),
+            P("3/2", "1/3", -1) - P(1, "1/3", 0),
+            P(1, 2, 3).cross(P(0, 0, 0)) + P(Fraction(-5, -10), "0/7", Fraction(-6, 6))]
+    for p in half:
+        assert p == half[0]
+        assert hash(p) == hash(half[0])
+        assert p.irep == (1, 0, -2, 2)
+    assert len(set(half)) == 1
+    assert P(1, 0, 0) != P(2, 0, 0) and P(1, 0, 0) != (1, 0, 0)
+
+
+def test_point_json_round_trip_gives_back_the_inputs():
+    from plgraph.jsonio import point_from_json, point_to_json
+
+    rng = random.Random(32)
+    for _ in range(200):
+        ref = _ref_triple(rng)
+        p = P(*ref)
+        assert (p.x, p.y, p.z) == ref
+        back = point_from_json(point_to_json(p))
+        assert back == p and back.coords() == ref and back.irep == p.irep
 
 
 def test_orient3d_unit_tetrahedron():

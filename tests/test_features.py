@@ -12,6 +12,7 @@ import pytest
 
 from plgraph import crosscheck
 from plgraph.disks import FanDisk
+from plgraph.graphs import LinearEmbedding, SpatialGraph
 from plgraph.exactgeom import (
     ExactPoint,
     Segment,
@@ -64,3 +65,56 @@ def test_every_route_reports_the_feature(x, tri_feat, disk_feat, interior, how):
 def test_points_off_the_triangle_have_no_feature():
     for x in (P(-1, 0, 0), P(4, 4, 0), P(0, -1, 0), P(-3, 3, 0)):
         assert _locate_in_plane(x, TRI) is None
+
+
+# Segments in the fan's plane: through two faces and the shared spoke, along
+# the boundary spoke, and ending on the rim chord from outside.
+COPLANAR = [
+    Segment(P(-1, 1, 0), P(5, 1, 0)),
+    Segment(P(0, 0, 0), P(6, 0, 0)),
+    Segment(P(9, 9, 0), P(3, 3, 0)),
+    Segment(P("1/2", "1/3", 0), P("7/5", "2/9", 0)),
+]
+
+
+def _panel_cases():
+    """A closed square fan with its cycle, plus a stabbing edge, a vertex in
+    the open square, or nothing extra (paneled)."""
+    sq = [P(0, 0, 0), P(2, 0, 0), P(2, 2, 0), P(0, 2, 0)]
+    disk = FanDisk(P(1, 1, 0), sq, closed=True)
+    extras = [
+        ({}, []),
+        ({"u": P(1, "1/2", -1), "w": P(1, "1/2", 1)}, [("u", "w")]),
+        ({"u": P("1/2", "3/2", 0)}, []),
+        ({"u": P(5, 5, 5), "w": P(6, 5, 5)}, [("u", "w")]),
+    ]
+    cases = []
+    for pos_extra, edges_extra in extras:
+        pos = dict(enumerate(sq), **pos_extra)
+        edges = [(0, 1), (1, 2), (2, 3), (3, 0)] + edges_extra
+        emb = LinearEmbedding(SpatialGraph(list(pos), edges), pos)
+        cases.append((disk, emb, [0, 1, 2, 3]))
+    return cases
+
+
+def test_crosscheck_applies_no_point_operator(monkeypatch):
+    """The recheck computes on coordinate triples, so it does not share the
+    fast route's point arithmetic: with every ExactPoint operator disabled it
+    returns exactly what it returned before."""
+    segs = [make(x) for x, *_ in TABLE for make in SEGMENTS.values()] + COPLANAR
+    panels = _panel_cases()
+
+    def run():
+        return ([crosscheck.fan_contact_features(FAN, s) for s in segs],
+                [crosscheck.fan_meets_interior(FAN, s) for s in segs],
+                [crosscheck.panel_check_bruteforce(*case) for case in panels])
+
+    expected = run()
+    assert {kind for kind, _w in expected[2]} == {"paneled", "violated"}
+
+    def disabled(*_args):
+        raise AssertionError("crosscheck applied an ExactPoint operator")
+
+    for name in ("__add__", "__sub__", "scale", "cross", "dot"):
+        monkeypatch.setattr(ExactPoint, name, disabled)
+    assert run() == expected

@@ -1,4 +1,5 @@
-"""Golden SHA-256 hashes of the four shipped scan reports.
+"""Golden SHA-256 hashes of the four shipped scan reports and of one link
+report.
 
 The reports are the session fixtures' (no extra scan time): the star reports
 serialized with every placement, the equator reports as written.  A hash here
@@ -9,10 +10,16 @@ different scene; the test then skips instead of comparing unrelated reports.
 """
 
 import hashlib
+import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from plgraph.exactgeom import ExactPoint
+from plgraph.graphs import LinearEmbedding, SpatialGraph, validate_embedding
 from plgraph.jsonio import canonical_dumps, content_hash
+from plgraph.linking import pairwise_link_scan
 
 GOLDEN = {
     "default": {
@@ -38,3 +45,35 @@ def test_report_matches_golden_hash(request, scene, scan):
     doc = report.to_jsonable(full=True) if scan == "star" else report.to_jsonable()
     digest = hashlib.sha256(canonical_dumps(doc).encode("utf-8")).hexdigest()
     assert digest == GOLDEN[scene][scan]
+
+
+LK_GOLDEN = "116d0639c806423fd298440d8c5400996a8075eb89282f2352696a3ccd90764f"
+
+
+def _k7_with_hopf_pair(seed):
+    """K7 at seeded rational positions (redrawn until the straight-line
+    embedding is valid) plus two linked triangles beyond the plane x = 500."""
+    rng = random.Random(seed)
+    k7 = [f"k{i}" for i in range(7)]
+    hopf = {
+        "h0": (1002, 0, 0), "h1": (999, 2, 0), "h2": (999, -2, 0),
+        "h3": (1001, 0, 2), "h4": (1001, 0, -2), "h5": (1004, 0, 0),
+    }
+    edges = list(combinations(k7, 2))
+    edges += [("h0", "h1"), ("h1", "h2"), ("h2", "h0"),
+              ("h3", "h4"), ("h4", "h5"), ("h5", "h3")]
+    while True:
+        pos = {v: ExactPoint(*(Fraction(rng.randint(-60, 60), rng.randint(1, 7))
+                               for _ in range(3))) for v in k7}
+        pos.update({v: ExactPoint(*c) for v, c in hopf.items()})
+        emb = LinearEmbedding(SpatialGraph(list(pos), edges), pos)
+        if validate_embedding(emb).valid:
+            return emb
+
+
+def test_link_report_matches_golden_hash():
+    report = pairwise_link_scan(_k7_with_hopf_pair(5), max_cycle_len=3)
+    planted = [p.linking_number for p in report.pairs if p.cycle_a[0][0] == p.cycle_b[0][0] == "h"]
+    assert [abs(lk) for lk in planted] == [1]
+    digest = hashlib.sha256(canonical_dumps(report.to_jsonable()).encode("utf-8")).hexdigest()
+    assert digest == LK_GOLDEN
