@@ -29,20 +29,23 @@ from .scene import GridSpec, SceneConfig, build_scene, default_paper_config
 from .verify import check_equator_claim, star_exit_code, verify_star
 
 
+def _read_json(path: str, what: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise PLGraphError(f"cannot read {what}: {exc}")
+    except json.JSONDecodeError as exc:
+        raise PLGraphError(f"{what} is not valid JSON: {exc}")
+
+
 def _load_config(args) -> tuple:
     """Returns (config, config_path_string)."""
     if args.demo:
         return default_paper_config(), None
     if not args.config:
         raise PLGraphError("either --config PATH or --demo is required")
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise PLGraphError(f"cannot read config: {exc}")
-    except json.JSONDecodeError as exc:
-        raise PLGraphError(f"config is not valid JSON: {exc}")
-    return SceneConfig.from_jsonable(doc), args.config
+    return SceneConfig.from_jsonable(_read_json(args.config, "config")), args.config
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -118,23 +121,11 @@ def cmd_equator(args) -> int:
 
 
 def cmd_lk(args) -> int:
-    try:
-        with open(args.embedding, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise PLGraphError(f"cannot read embedding: {exc}")
-    except json.JSONDecodeError as exc:
-        raise PLGraphError(f"embedding is not valid JSON: {exc}")
+    doc = _read_json(args.embedding, "embedding")
     emb = embedding_from_json(doc)
     report = pairwise_link_scan(emb, args.max_cycle_len)
-    manifest = {
-        "command": "lk",
-        "config_path": args.embedding,
-        "overrides": {"max_cycle_len": args.max_cycle_len},
-        "output": args.out,
-        "tool_version": __version__,
-        "config_hash": content_hash(doc),
-    }
+    manifest = _manifest("lk", args.embedding, {"max_cycle_len": args.max_cycle_len},
+                         args.out, doc)
     out = report.to_jsonable()
     out["kind"] = "link-report"
     out["manifest"] = manifest

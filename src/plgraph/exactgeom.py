@@ -12,6 +12,12 @@ runs on those integers and reduces each result once; a determinant sign
 ``fractions.Fraction`` appears as the read-only coordinate views ``x``,
 ``y``, ``z`` (for JSON, reports and sort keys) and as the scalar type of dot
 products and segment parameters.
+
+One touch rule serves polylines, polygons and graph embeddings
+(``segment_contact``): each segment names its two endpoints (point indices,
+or vertex ids), two segments of one set may meet only at the endpoint they
+both name, and segments of two sets may not meet at all.  A pair that names a
+common endpoint is decided by an integer ray test from that endpoint.
 """
 
 from __future__ import annotations
@@ -293,48 +299,54 @@ def segment_segment_classify(s: Segment, t: Segment) -> SegSegResult:
     return SegSegResult("endpoint-touch", point=pt)
 
 
-def _polyline_boxes(points: Sequence[ExactPoint], closed: bool):
-    """The polyline's segments with their exact bounding boxes."""
+def boxed_segment(seg: Segment, ends: tuple) -> tuple:
+    """``(seg, ends, box)``: the segment, the names of its endpoints ``a`` and
+    ``b``, and its exact bounding box."""
+    (ax, ay, az), (bx, by, bz) = seg.a.coords(), seg.b.coords()
+    return seg, ends, (min(ax, bx), max(ax, bx), min(ay, by), max(ay, by),
+                       min(az, bz), max(az, bz))
+
+
+def polyline_segments(points: Sequence[ExactPoint], closed: bool = False) -> list:
+    """A polyline's boxed segments: segment i runs from point i to point i+1
+    (a closed polyline's last one back to point 0) and names them by index."""
     n = len(points)
-    out = []
-    for i in range(n if closed else n - 1):
-        s = Segment(points[i], points[(i + 1) % n])
-        (ax, ay, az), (bx, by, bz) = s.a.coords(), s.b.coords()
-        out.append((s, (min(ax, bx), max(ax, bx), min(ay, by), max(ay, by),
-                        min(az, bz), max(az, bz))))
-    return out
+    return [boxed_segment(Segment(points[i], points[(i + 1) % n]), (i, (i + 1) % n))
+            for i in range(n if closed else n - 1)]
 
 
-def polyline_contact(points: Sequence[ExactPoint],
-                     other: Optional[Sequence[ExactPoint]] = None,
-                     closed: bool = False) -> Optional[Tuple[int, int, SegSegResult]]:
-    """The first pair of polyline segments that meet where they must not.
+def segment_contact(segs: Sequence[tuple], others: Optional[Sequence[tuple]] = None
+                    ) -> Optional[Tuple[int, int, SegSegResult]]:
+    """The first pair of boxed segments that meet where they must not.
 
-    Segment i runs from point i to point i+1; a closed polyline's last
-    segment runs back to point 0.  Without ``other``, pairs i < j of the
-    polyline must be disjoint, except that consecutive segments may touch at
-    their shared vertex.  With ``other`` (``closed`` applies to it too),
-    every segment i of ``points`` and j of ``other`` must be disjoint.  Returns ``(i, j, result)``
-    for the first offender in (i, j) order, or None.  Pairs whose bounding
-    boxes are apart are disjoint and skip the predicate.
+    The touch rule: within one set (``others`` is None, pairs i < j), two
+    segments may meet only at the endpoint they both name; across two sets
+    (segment i of ``segs``, j of ``others``), they may not meet at all.  Both
+    segments of a pair that names a common endpoint p leave p, so they meet
+    beyond it exactly when their other endpoints lie on the same ray from p:
+    an integer test on the differences, with classification run only to build
+    the witness.  Other pairs whose bounding boxes are apart are disjoint.
+    Returns ``(i, j, result)`` for the first offender in (i, j) order, or None.
     """
-    segs = _polyline_boxes(points, closed)
-    others = segs if other is None else _polyline_boxes(other, closed)
-    last = len(segs) - 1
-    for i, (s, bi) in enumerate(segs):
-        for j in range(i + 1 if other is None else 0, len(others)):
-            t, bj = others[j]
+    same = others is None
+    if same:
+        others = segs
+    for i, (s, (sa, sb), bi) in enumerate(segs):
+        for j in range(i + 1 if same else 0, len(others)):
+            t, (ta, tb), bj = others[j]
+            if same and (sa == ta or sa == tb or sb == ta or sb == tb):
+                p, q = (s.a, s.b) if sa == ta or sa == tb else (s.b, s.a)
+                r = t.b if t.a == p else t.a
+                u, w = (q - p).irep, (r - p).irep
+                if icross(u, w) == (0, 0, 0) and idot(u, w) > 0:
+                    return i, j, segment_segment_classify(s, t)
+                continue
             if bi[1] < bj[0] or bj[1] < bi[0] or bi[3] < bj[2] or bj[3] < bi[2] \
                     or bi[5] < bj[4] or bj[5] < bi[4]:
                 continue
             res = segment_segment_classify(s, t)
-            if res.kind == "disjoint":
-                continue
-            if other is None and res.kind == "endpoint-touch" and (
-                    (j == i + 1 and res.point == s.b)
-                    or (closed and i == 0 and j == last and res.point == s.a)):
-                continue
-            return i, j, res
+            if res.kind != "disjoint":
+                return i, j, res
     return None
 
 

@@ -12,7 +12,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .disks import FanDisk
 from .errors import EmbeddingInvalidError, GraphStructureError
-from .exactgeom import ExactPoint, Segment, frac, segment_segment_classify
+from .exactgeom import ExactPoint, Segment, boxed_segment, frac, segment_contact
 
 Vertex = object
 Edge = FrozenSet
@@ -99,30 +99,18 @@ def validate_embedding(e: LinearEmbedding) -> ValidationResult:
         seen[p] = v
     edges = e.graph.sorted_edges()
     # Degenerate edges are impossible once positions are distinct.
-    segs = {ed: e.edge_segment(ed) for ed in edges}
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
-            e1, e2 = edges[i], edges[j]
-            res = segment_segment_classify(segs[e1], segs[e2])
-            shared = e1 & e2
-            if shared:
-                (s,) = tuple(shared)
-                p = e.position[s]
-                if res.kind == "endpoint-touch" and res.point == p:
-                    continue
-                if res.kind == "disjoint":
-                    continue  # cannot happen for a shared vertex, kept for clarity
-                witness_pt = res.point or (res.overlap[0] if res.overlap else None)
-                return ValidationResult(False, ("edge-edge", tuple(e1), tuple(e2), witness_pt))
-            if res.kind != "disjoint":
-                witness_pt = res.point or (res.overlap[0] if res.overlap else None)
-                return ValidationResult(False, ("edge-edge", tuple(e1), tuple(e2), witness_pt))
+    segs = [boxed_segment(Segment(e.position[u], e.position[w]), (u, w))
+            for u, w in map(tuple, edges)]
+    hit = segment_contact(segs)
+    if hit is not None:
+        i, j, res = hit
+        witness_pt = res.point or (res.overlap[0] if res.overlap else None)
+        return ValidationResult(False, ("edge-edge", tuple(edges[i]), tuple(edges[j]), witness_pt))
     for v in verts:
         p = e.position[v]
-        for ed in edges:
+        for ed, (seg, _, _) in zip(edges, segs):
             if v in ed:
                 continue
-            seg = segs[ed]
             u = seg.b - seg.a
             w = p - seg.a
             if not u.cross(w).is_zero():

@@ -25,7 +25,8 @@ from .exactgeom import (
     Triangle,
     collinear,
     orient3d,
-    polyline_contact,
+    polyline_segments,
+    segment_contact,
     segment_triangle_contacts,
 )
 
@@ -43,14 +44,14 @@ class ClosedPolygon:
             raise DegenerateGeometryError("closed polygon needs at least 3 distinct points")
         self.points = pts
         # Coinciding consecutive points fail as zero-length segments here.
-        hit = polyline_contact(pts, closed=True)
+        self._boxed = polyline_segments(pts, closed=True)
+        hit = segment_contact(self._boxed)
         if hit is not None:
             i, j, res = hit
             raise DegenerateGeometryError(f"polygon not simple: segments {i},{j} ({res.kind})")
 
     def segments(self) -> List[Segment]:
-        n = len(self.points)
-        return [Segment(self.points[i], self.points[(i + 1) % n]) for i in range(n)]
+        return [seg for seg, _, _ in self._boxed]
 
     def reversed(self) -> "ClosedPolygon":
         return ClosedPolygon(list(reversed(self.points)))
@@ -60,7 +61,7 @@ class ClosedPolygon:
 
 
 def _check_disjoint(a: ClosedPolygon, b: ClosedPolygon):
-    if polyline_contact(a.points, b.points, closed=True) is not None:
+    if segment_contact(a._boxed, b._boxed) is not None:
         raise CurvesIntersectError("curves are not disjoint")
 
 
@@ -103,14 +104,17 @@ def direction_is_generic(a: ClosedPolygon, b: ClosedPolygon, direction: ExactPoi
         for j in range(i + 1, len(verts)):
             if pv[i] == pv[j] and verts[i] != verts[j]:
                 return False, "projected vertex coincidence"
-    all_segs = [(p, 0) for p in a.segments()] + [(p, 1) for p in b.segments()]
+    # Segment k runs from vertex k to nxt[k], the next vertex of its curve;
+    # du[k] is its projected direction.
+    na, nb = len(a.points), len(b.points)
+    nxt = [(k + 1) % na for k in range(na)] + [na + (k + 1) % nb for k in range(nb)]
+    du = [(pv[m][0] - pv[k][0], pv[m][1] - pv[k][1]) for k, m in enumerate(nxt)]
     for v, pvv in zip(verts, pv):
-        for s, _curve in all_segs:
-            if v == s.a or v == s.b:
+        for k, m in enumerate(nxt):
+            if v == verts[k] or v == verts[m]:
                 continue
-            p0, p1 = proj(s.a), proj(s.b)
-            u = (p1[0] - p0[0], p1[1] - p0[1])
-            w = (pvv[0] - p0[0], pvv[1] - p0[1])
+            u = du[k]
+            w = (pvv[0] - pv[k][0], pvv[1] - pv[k][1])
             if _cross2(u, w) != 0:
                 continue
             lam = u[0] * w[0] + u[1] * w[1]
@@ -118,15 +122,10 @@ def direction_is_generic(a: ClosedPolygon, b: ClosedPolygon, direction: ExactPoi
                 return False, "vertex projects onto a segment"
     # Adjacent same-curve segments must not fold back onto each other in
     # projection (a straight pass-through at a subdivision vertex is fine).
-    for poly in (a, b):
-        segs = poly.segments()
-        n = len(segs)
-        for i in range(n):
-            s1, s2 = segs[i], segs[(i + 1) % n]
-            u = proj(s1.b - s1.a)
-            w = proj(s2.b - s2.a)
-            if _cross2(u, w) == 0 and u[0] * w[0] + u[1] * w[1] < 0:
-                return False, "adjacent segments fold back in projection"
+    for k, m in enumerate(nxt):
+        u, w = du[k], du[m]
+        if _cross2(u, w) == 0 and u[0] * w[0] + u[1] * w[1] < 0:
+            return False, "adjacent segments fold back in projection"
     # a-vs-b pairs: disjoint or single transversal interior crossing.
     crossing_points = {}
     for sa in a.segments():
@@ -174,15 +173,13 @@ def _proj_crossing(proj, sa: Segment, sb: Segment):
     return (pt, ta, tb)
 
 
-def linking_number_projection(a: ClosedPolygon, b: ClosedPolygon, direction) -> int:
+def linking_number_projection(a: ClosedPolygon, b: ClosedPolygon, direction: ExactPoint) -> int:
     """Linking number as a signed crossing count in an exact projection.
 
     The sum runs over crossings where ``a`` passes over ``b`` (larger
     component along the projection direction); each crossing contributes the
     orientation sign of (over-segment endpoints, under-segment endpoints).
     """
-    if isinstance(direction, (tuple, list)):
-        direction = ExactPoint(*direction)
     _check_disjoint(a, b)
     ok, why = direction_is_generic(a, b, direction)
     if not ok:

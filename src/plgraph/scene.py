@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .disks import FanDisk, TriPatch, cone, disk_disk_classify
 from .errors import ConfigError, SceneInvariantViolation, SpliceMismatchError
-from .exactgeom import ExactPoint, Segment, polyline_contact
+from .exactgeom import ExactPoint, Segment, polyline_segments, segment_contact
 from .jsonio import point_from_json, point_to_json, rat_from_json, rat_to_json
 
 RATIONAL_DENOM = 10 ** 6
@@ -344,7 +344,7 @@ class Scene:
 
 def _polyline_simple(points: Sequence[ExactPoint], what: str):
     """Exact simplicity check for an open polyline."""
-    hit = polyline_contact(points)
+    hit = segment_contact(polyline_segments(points))
     if hit is not None:
         i, j, res = hit
         raise SceneInvariantViolation(
@@ -353,7 +353,7 @@ def _polyline_simple(points: Sequence[ExactPoint], what: str):
 
 
 def _polylines_disjoint(pa: Sequence[ExactPoint], pb: Sequence[ExactPoint], what: str):
-    hit = polyline_contact(pa, pb)
+    hit = segment_contact(polyline_segments(pa), polyline_segments(pb))
     if hit is not None:
         i, j, res = hit
         raise SceneInvariantViolation(

@@ -6,6 +6,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from plgraph.cli import _manifest
 from plgraph.jsonio import canonical_dumps
 from plgraph.scene import control_short_arc_config
 
@@ -192,6 +195,28 @@ class TestLk:
         first = out.read_bytes()
         run_cli("lk", str(emb), "--out", str(out))
         assert out.read_bytes() == first
+
+    def test_manifest_is_the_shared_manifest(self, tmp_path):
+        emb = tmp_path / "hopf.json"
+        emb.write_text(json.dumps(HOPF_EMBEDDING))
+        out = tmp_path / "lk.json"
+        proc = run_cli("lk", str(emb), "--max-cycle-len", "4", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        want = _manifest("lk", str(emb), {"max_cycle_len": 4}, str(out), HOPF_EMBEDDING)
+        assert json.loads(out.read_text())["manifest"] == want
+
+
+@pytest.mark.parametrize("command, what", [("verify-star", "config"), ("lk", "embedding")])
+def test_unreadable_or_malformed_input_exits_1(tmp_path, command, what):
+    path = tmp_path / "input.json"
+    args = [command, "--config", str(path)] if command == "verify-star" else [command, str(path)]
+    proc = run_cli(*args, "--out", str(tmp_path / "out.json"))
+    assert proc.returncode == 1
+    assert f"cannot read {what}:" in proc.stderr
+    path.write_text("{not json")
+    proc = run_cli(*args, "--out", str(tmp_path / "out.json"))
+    assert proc.returncode == 1
+    assert f"{what} is not valid JSON:" in proc.stderr
 
 
 class TestEquatorCommand:
