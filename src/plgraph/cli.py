@@ -75,14 +75,14 @@ def _apply_overrides(cfg: SceneConfig, args) -> dict:
 
 
 def _manifest(command: str, config_path: Optional[str], overrides: dict,
-              out_path: Optional[str], cfg_jsonable) -> dict:
+              out_path: Optional[str], input_doc) -> dict:
     return {
         "command": command,
         "config_path": config_path if config_path is not None else "--demo",
         "overrides": overrides,
         "output": out_path,
         "tool_version": __version__,
-        "config_hash": content_hash(cfg_jsonable),
+        "config_hash": content_hash(input_doc),
     }
 
 
