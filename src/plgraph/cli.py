@@ -182,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("equator", help="check the upper-hemisphere blocking claim")
     add_config_opts(p)
-    p.add_argument("--samples", type=int, default=60, help="upper-hemisphere sample count")
+    p.add_argument("--samples", type=int, default=60, help="upper-hemisphere sample count, >= 1")
     p.add_argument("--out", default="equator_report.json", help="report path")
     p.add_argument("--threads", type=int, default=1,
                    help="worker processes, >= 1 (capped at the CPU count)")

@@ -158,40 +158,60 @@ class FanDisk:
     # -- embeddedness validation -------------------------------------------
 
     def _validate_embedded(self):
+        """Every pair of fan triangles meets only in its shared features.
+
+        Triangles i and j share the apex, so they meet elsewhere exactly when
+        their direction cones share a direction.  ``side[i][k]`` is, once per
+        triangle, the sign (plus 1, one byte) of rim direction k against
+        triangle i's normal; triangle j spans columns j and j + 1 (a closed
+        fan's rim direction 0 repeats as column m).  A non-adjacent pair is
+        apart when either triangle's two rim directions lie strictly on one
+        side of the other's plane, read from the table; only the rest reach
+        :func:`_cones_share_direction`.  Pairs are decided in (i, j) order,
+        so the first offending pair is the one reported.
+        """
         dirs = self._idirs
-        m = len(self.rim)
+        cols = dirs + dirs[:1] if self.closed else dirs
         count = len(self.triangles)
+        side = [bytes([(v > 0) - (v < 0) + 1 for v in
+                       [n0 * x + n1 * y + n2 * z for x, y, z, _ in cols]])
+                for n0, n1, n2 in self._inormals]
         for i in range(count):
-            for j in range(i + 1, count):
-                a, b = dirs[i], dirs[(i + 1) % m]
-                c, d = dirs[j], dirs[(j + 1) % m]
-                adjacent = (j == i + 1) or (self.closed and i == 0 and j == count - 1)
-                if adjacent:
-                    # Shared spoke direction is b (== c) for j == i+1, or
-                    # a (== d) for the closing pair of a closed fan; p1 and
-                    # p2 are the two triangles' free directions.
-                    if j == i + 1:
-                        sh, p1, p2 = b, a, d
-                    else:
-                        sh, p1, p2 = a, b, c
-                    n = icross(p1, sh)
-                    if idot(n, p2) != 0:
-                        continue  # planes distinct: intersection is the spoke
-                    # Coplanar wedge pair: valid only when the two free
-                    # directions sit strictly on opposite sides of the shared
-                    # spoke line within the common plane.
-                    s1 = sign(idot(icross(sh, p1), n))
-                    s2 = sign(idot(icross(sh, p2), n))
-                    if s1 == s2:
-                        raise FanConstructionError(
-                            "self-intersecting", ("adjacent-overlap", i, j)
-                        )
-                    continue
-                if _cones_share_direction(a, b, c, d):
+            si = side[i]
+            if i + 1 < count:
+                self._check_adjacent(i, i + 1)
+            closing = self.closed and i == 0
+            unsettled = [j for j in range(i + 2, count - 1 if closing else count)
+                         if (si[j] == 1 or si[j] != si[j + 1])
+                         and (side[j][i] == 1 or side[j][i] != side[j][i + 1])]
+            for j in unsettled:
+                if _cones_share_direction(cols[i], cols[i + 1], cols[j], cols[j + 1]):
                     raise FanConstructionError(
                         "self-intersecting",
                         ("triangles-meet", i, j, self._common_point_witness(i, j)),
                     )
+            if closing:
+                self._check_adjacent(0, count - 1)
+
+    def _check_adjacent(self, i: int, j: int):
+        """Raise unless adjacent triangles i < j meet only in their shared
+        spoke: rim direction j when j == i + 1, or rim direction 0 for the
+        closing pair (0, m - 1) of a closed fan."""
+        dirs, m = self._idirs, len(self.rim)
+        if j == i + 1:
+            sh, p1, p2 = dirs[j], dirs[i], dirs[(j + 1) % m]
+        else:
+            sh, p1, p2 = dirs[0], dirs[1], dirs[j]
+        n = icross(p1, sh)
+        if idot(n, p2) != 0:
+            return  # planes distinct: intersection is the spoke
+        # Coplanar wedge pair: valid only when the two free directions sit
+        # strictly on opposite sides of the shared spoke line within the
+        # common plane.
+        s1 = sign(idot(icross(sh, p1), n))
+        s2 = sign(idot(icross(sh, p2), n))
+        if s1 == s2:
+            raise FanConstructionError("self-intersecting", ("adjacent-overlap", i, j))
 
     def _common_point_witness(self, i: int, j: int) -> Optional[ExactPoint]:
         ev = triangle_triangle_intersection(self.triangles[i], self.triangles[j])

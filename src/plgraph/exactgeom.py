@@ -16,7 +16,8 @@ products and segment parameters.
 One touch rule serves polylines, polygons and graph embeddings
 (``segment_contact``): each segment names its two endpoints (point indices,
 or vertex ids), two segments of one set may meet only at the endpoint they
-both name, and segments of two sets may not meet at all.  A pair that names a
+both name, and segments of two sets may not meet at all.  Bounding boxes are
+compared as integers on one common denominator, and a pair that names a
 common endpoint is decided by an integer ray test from that endpoint.
 """
 
@@ -301,10 +302,16 @@ def segment_segment_classify(s: Segment, t: Segment) -> SegSegResult:
 
 def boxed_segment(seg: Segment, ends: tuple) -> tuple:
     """``(seg, ends, box)``: the segment, the names of its endpoints ``a`` and
-    ``b``, and its exact bounding box."""
-    (ax, ay, az), (bx, by, bz) = seg.a.coords(), seg.b.coords()
-    return seg, ends, (min(ax, bx), max(ax, bx), min(ay, by), max(ay, by),
-                       min(az, bz), max(az, bz))
+    ``b``, and its exact bounding box as integers ``(d, x_lo, x_hi, y_lo,
+    y_hi, z_lo, z_hi)`` over the common denominator ``d`` of its endpoints."""
+    A, B = seg.a.irep, seg.b.irep
+    d = lcm(A[3], B[3])
+    ka, kb = d // A[3], d // B[3]
+    box = [d]
+    for k in range(3):
+        u, w = A[k] * ka, B[k] * kb
+        box += (u, w) if u <= w else (w, u)
+    return seg, ends, tuple(box)
 
 
 def polyline_segments(points: Sequence[ExactPoint], closed: bool = False) -> list:
@@ -315,34 +322,48 @@ def polyline_segments(points: Sequence[ExactPoint], closed: bool = False) -> lis
             for i in range(n if closed else n - 1)]
 
 
+def _common_boxes(*sets: Sequence[tuple]) -> list:
+    """Each set's segment boxes as integer sextuples over one denominator,
+    the lcm of the boxes' own: comparing them compares the exact boxes."""
+    den = lcm(*(box[0] for segs in sets for _, _, box in segs))
+    return [[tuple(c * (den // box[0]) for c in box[1:]) for _, _, box in segs]
+            for segs in sets]
+
+
 def segment_contact(segs: Sequence[tuple], others: Optional[Sequence[tuple]] = None
                     ) -> Optional[Tuple[int, int, SegSegResult]]:
     """The first pair of boxed segments that meet where they must not.
 
     The touch rule: within one set (``others`` is None, pairs i < j), two
     segments may meet only at the endpoint they both name; across two sets
-    (segment i of ``segs``, j of ``others``), they may not meet at all.  Both
-    segments of a pair that names a common endpoint p leave p, so they meet
-    beyond it exactly when their other endpoints lie on the same ray from p:
-    an integer test on the differences, with classification run only to build
-    the witness.  Other pairs whose bounding boxes are apart are disjoint.
-    Returns ``(i, j, result)`` for the first offender in (i, j) order, or None.
+    (segment i of ``segs``, j of ``others``), they may not meet at all.
+    Pairs whose bounding boxes are apart are disjoint; the boxes are compared
+    as integers, put on the lcm of the call's box denominators.  A pair
+    whose boxes meet is decided exactly.  Both segments of a pair that names
+    a common endpoint p leave p (so their boxes meet), and they meet beyond
+    it exactly when their other endpoints lie on the same ray from p: an
+    integer test on the differences, with classification run only to build
+    the witness.  Any other pair is classified.  Returns ``(i, j, result)``
+    for the first offender in (i, j) order, or None.
     """
     same = others is None
     if same:
         others = segs
-    for i, (s, (sa, sb), bi) in enumerate(segs):
-        for j in range(i + 1 if same else 0, len(others)):
-            t, (ta, tb), bj = others[j]
+    ibox, jbox = _common_boxes(segs, others)
+    for i, (s, (sa, sb), _) in enumerate(segs):
+        x0, x1, y0, y1, z0, z1 = ibox[i]
+        lo = i + 1 if same else 0
+        near = [j for j, b in enumerate(jbox[lo:], lo)
+                if b[0] <= x1 and x0 <= b[1] and b[2] <= y1 and y0 <= b[3]
+                and b[4] <= z1 and z0 <= b[5]]
+        for j in near:
+            t, (ta, tb), _ = others[j]
             if same and (sa == ta or sa == tb or sb == ta or sb == tb):
                 p, q = (s.a, s.b) if sa == ta or sa == tb else (s.b, s.a)
                 r = t.b if t.a == p else t.a
                 u, w = (q - p).irep, (r - p).irep
                 if icross(u, w) == (0, 0, 0) and idot(u, w) > 0:
                     return i, j, segment_segment_classify(s, t)
-                continue
-            if bi[1] < bj[0] or bj[1] < bi[0] or bi[3] < bj[2] or bj[3] < bi[2] \
-                    or bi[5] < bj[4] or bj[5] < bi[4]:
                 continue
             res = segment_segment_classify(s, t)
             if res.kind != "disjoint":

@@ -10,22 +10,31 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from math import lcm
 from typing import List
 
 from .errors import ConfigError
-from .exactgeom import ExactPoint
+from .exactgeom import ExactPoint, _point
 
 
 def rat_to_json(x: Fraction) -> List[int]:
     return [x.numerator, x.denominator]
 
 
-def rat_from_json(obj, field: str = "rational") -> Fraction:
-    if not (isinstance(obj, list) and len(obj) == 2 and all(isinstance(v, int) for v in obj)):
+def _int_pair(obj, field: str) -> list:
+    """A ``[numerator, denominator]`` pair of JSON integers (not booleans)
+    with a nonzero denominator."""
+    if not (isinstance(obj, list) and len(obj) == 2
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in obj)):
         raise ConfigError("expected a [numerator, denominator] integer pair", field)
     if obj[1] == 0:
         raise ConfigError("zero denominator", field)
-    return Fraction(obj[0], obj[1])
+    return obj
+
+
+def rat_from_json(obj, field: str = "rational") -> Fraction:
+    n, d = _int_pair(obj, field)
+    return Fraction(n, d)
 
 
 def point_to_json(p: ExactPoint) -> List[List[int]]:
@@ -33,9 +42,14 @@ def point_to_json(p: ExactPoint) -> List[List[int]]:
 
 
 def point_from_json(obj, field: str = "point") -> ExactPoint:
+    """The point of three ``[numerator, denominator]`` pairs, put straight on
+    the lcm of the denominators and reduced once (pairs need not be reduced,
+    and denominators may be negative)."""
     if not (isinstance(obj, list) and len(obj) == 3):
         raise ConfigError("expected three rational pairs", field)
-    return ExactPoint(*(rat_from_json(c, f"{field}[{i}]") for i, c in enumerate(obj)))
+    (x, dx), (y, dy), (z, dz) = (_int_pair(c, f"{field}[{i}]") for i, c in enumerate(obj))
+    d = lcm(dx, dy, dz)
+    return _point(x * (d // dx), y * (d // dy), z * (d // dz), d)
 
 
 def canonical_dumps(obj) -> str:

@@ -128,9 +128,9 @@ def direction_is_generic(a: ClosedPolygon, b: ClosedPolygon, direction: ExactPoi
             return False, "adjacent segments fold back in projection"
     # a-vs-b pairs: disjoint or single transversal interior crossing.
     crossing_points = {}
-    for sa in a.segments():
-        for sb in b.segments():
-            res = _proj_crossing(proj, sa, sb)
+    for ka in range(na):
+        for kb in range(na, na + nb):
+            res = _proj_crossing(pv[ka], pv[nxt[ka]], pv[kb], pv[nxt[kb]])
             if res == "degenerate":
                 return False, "non-transversal projected segment pair"
             if res is None:
@@ -142,11 +142,10 @@ def direction_is_generic(a: ClosedPolygon, b: ClosedPolygon, direction: ExactPoi
     return True, "ok"
 
 
-def _proj_crossing(proj, sa: Segment, sb: Segment):
-    """Projected crossing of two segments: None, 'degenerate', or
-    ((point2d), ta, tb) for a strict interior-interior transversal crossing."""
-    a0, a1 = proj(sa.a), proj(sa.b)
-    b0, b1 = proj(sb.a), proj(sb.b)
+def _proj_crossing(a0, a1, b0, b1):
+    """Crossing of the projected segments a0a1 and b0b1: None, 'degenerate',
+    or ((point2d), ta, tb) for a strict interior-interior transversal
+    crossing."""
     u = (a1[0] - a0[0], a1[1] - a0[1])
     w = (b1[0] - b0[0], b1[1] - b0[1])
     denom = _cross2(u, w)
@@ -185,11 +184,14 @@ def linking_number_projection(a: ClosedPolygon, b: ClosedPolygon, direction: Exa
     if not ok:
         raise NonGenericDirectionError(why)
     proj = _projector(direction)
+    pa = [proj(p) for p in a.points]
+    pb = [proj(p) for p in b.points]
+    na, nb = len(pa), len(pb)
     total_over = 0
     total_under = 0
-    for sa in a.segments():
-        for sb in b.segments():
-            res = _proj_crossing(proj, sa, sb)
+    for ka, sa in enumerate(a.segments()):
+        for kb, sb in enumerate(b.segments()):
+            res = _proj_crossing(pa[ka], pa[(ka + 1) % na], pb[kb], pb[(kb + 1) % nb])
             if res is None:
                 continue
             assert res != "degenerate"

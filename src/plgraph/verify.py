@@ -319,7 +319,12 @@ class EquatorReport:
 
 def upper_sample_points(scene: Scene, sample_count: int,
                         frequency: int = 4) -> List[ExactPoint]:
-    """Deterministic rational near-sphere samples with z above the center."""
+    """Deterministic rational near-sphere samples with z above the center.
+
+    ``sample_count`` must be at least 1.
+    """
+    if sample_count < 1:
+        raise ConfigError("samples must be >= 1", "samples")
     out = []
     f = frequency
     while True:
@@ -386,6 +391,8 @@ def check_equator_claim(scene: Scene, cfg: Optional[SceneConfig] = None,
     configuration, and the short-arc control must produce some.  Placement
     rows are independent, so ``threads > 1`` distributes them across worker
     processes (see :func:`_parallel_map`) without changing the report.
+    ``sample_count`` below 1 raises :class:`ConfigError` before any
+    placement is evaluated.
     """
     cfg = cfg or scene.config
     delta = scene.delta_disk

@@ -9,6 +9,8 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from plgraph.crosscheck import fan_contact_features, panel_check_bruteforce
 from plgraph.disks import cone, disk_disk_classify, panel_check
 from plgraph.errors import (
@@ -181,6 +183,7 @@ def test_criterion_3_scene_validity(default_config):
 
 # -- 4: the placement scan ----------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_4_star_refutation(default_scene, default_star):
     rep = default_star.value
     spot_ok = True
@@ -220,6 +223,7 @@ def test_criterion_5_negative_control(control_star):
 
 # -- 6: equator lemma ---------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_6_equator(default_equator, control_equator):
     rep = default_equator.value
     ctl = control_equator.value
@@ -357,6 +361,7 @@ def test_criterion_8_panel_oracle():
 
 # -- 9: determinism -----------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_9_determinism(default_scene, default_star, default_equator,
                                  control_scene, control_star, control_equator):
     t0 = time.monotonic()

@@ -47,6 +47,7 @@ class TestVerifyStar:
         assert doc["manifest"]["config_hash"]
         assert doc["witnesses"]  # explicit witness placements in the report
 
+    @pytest.mark.slow
     def test_full_demo_exits_0(self, tmp_path):
         # The complete shipped scan: every non-degenerate placement blocked.
         out = tmp_path / "demo_full.json"
@@ -227,3 +228,13 @@ class TestEquatorCommand:
         assert proc.returncode == 2
         doc = json.loads(out.read_text())
         assert doc["summary"]["counter_pair_count"] >= 1
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_samples_below_one_exits_1_naming_the_field(self, tmp_path, samples):
+        # Serial (the default --threads 1), so no worker process can start.
+        out = tmp_path / "eq.json"
+        proc = run_cli("equator", "--config", str(CONTROL), "--samples", samples,
+                       "--out", str(out))
+        assert proc.returncode == 1
+        assert "samples: samples must be >= 1" in proc.stderr
+        assert not out.exists()

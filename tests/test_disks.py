@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,12 +10,21 @@ from plgraph.crosscheck import fan_contact_features, panel_check_bruteforce
 from plgraph.disks import (
     FanDisk,
     TriPatch,
+    _cones_share_direction,
     cone,
     disk_disk_classify,
     panel_check,
 )
 from plgraph.errors import BoundaryMismatchError, FanConstructionError
-from plgraph.exactgeom import ExactPoint, Segment, segment_segment_classify
+from plgraph.exactgeom import (
+    ExactPoint,
+    Segment,
+    Triangle,
+    icross,
+    idot,
+    segment_segment_classify,
+    sign,
+)
 from plgraph.graphs import LinearEmbedding, SpatialGraph
 from plgraph.scene import sphere_point
 
@@ -78,6 +88,57 @@ class TestCone:
         closed = cone(O, [P(2, 0, 0), P(0, 2, 0), P(-2, 0, 0), P(0, -2, 0)],
                       closed=True)
         assert len(closed.boundary_segments()) == 4
+
+
+def reference_fan_offender(apex, rim, closed):
+    """The first offending triangle pair of a fan by the plain pairwise loop,
+    as FanConstructionError's witness, or None: adjacent pairs by the
+    coplanar-wedge test, every other pair by _cones_share_direction."""
+    dirs = [(p - apex).irep for p in rim]
+    m = len(rim)
+    count = m if closed else m - 1
+    tris = SimpleNamespace(apex=apex, triangles=[
+        Triangle(apex, rim[i], rim[(i + 1) % m]) for i in range(count)])
+    for i in range(count):
+        for j in range(i + 1, count):
+            a, b = dirs[i], dirs[(i + 1) % m]
+            c, d = dirs[j], dirs[(j + 1) % m]
+            if j == i + 1 or (closed and i == 0 and j == count - 1):
+                sh, p1, p2 = (b, a, d) if j == i + 1 else (a, b, c)
+                n = icross(p1, sh)
+                if idot(n, p2) == 0 and \
+                        sign(idot(icross(sh, p1), n)) == sign(idot(icross(sh, p2), n)):
+                    return ("adjacent-overlap", i, j)
+            elif _cones_share_direction(a, b, c, d):
+                return ("triangles-meet", i, j, FanDisk._common_point_witness(tris, i, j))
+    return None
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_fan_validation_matches_pairwise_reference(closed):
+    """Lattice fans, where coplanar and self-intersecting pairs abound: the
+    fan raises exactly the reference's first offender, or nothing."""
+    lattice = [P(x, y, z) for x in range(-2, 3) for y in range(-2, 3) for z in range(-1, 2)]
+    seen = set()
+    for seed in range(500):
+        rng = random.Random(seed)
+        apex = rng.choice((O, P(0, 0, -1), P(Fraction(1, 2), 0, Fraction(-1, 3))))
+        rim = rng.sample(lattice, rng.randint(3, 9))
+        if rng.random() < 0.3:
+            # A flat fan in the plane z = 0: adjacent pairs are coplanar.
+            rim = [P(p.x, p.y, 0) for p in rim]
+            apex = P(apex.x, apex.y, 0)
+        try:
+            cone(apex, rim, closed=closed)
+            got = None
+        except FanConstructionError as exc:
+            if exc.reason == "degenerate-triangle":
+                continue
+            got = exc.witness
+        want = reference_fan_offender(apex, rim, closed)
+        assert got == want, (seed, apex, rim)
+        seen.add(want and want[0])
+    assert seen == {None, "adjacent-overlap", "triangles-meet"}
 
 
 FAN = cone(O, [P(1, 0, 0), P(0, 1, 0)])

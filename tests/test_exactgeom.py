@@ -154,6 +154,50 @@ def test_point_json_round_trip_gives_back_the_inputs():
         assert back == p and back.coords() == ref and back.irep == p.irep
 
 
+def test_point_from_unreduced_json_pairs_is_canonical():
+    """Pairs that are not reduced, or have negative denominators, give the
+    point the Fractions give, in canonical form."""
+    from plgraph.jsonio import point_from_json
+
+    rng = random.Random(33)
+    for _ in range(400):
+        pairs = []
+        for _ in range(3):
+            n = rng.choice((0, rng.randint(-50, 50), rng.randint(-10**25, 10**25)))
+            d = rng.choice((1, -1, rng.randint(1, 12), -rng.randint(1, 12), rng.randint(1, 10**9)))
+            k = rng.choice((1, -1, rng.randint(2, 9), -rng.randint(2, 9)))
+            pairs.append([n * k, d * k])
+        p = point_from_json(pairs)
+        ref = tuple(Fraction(n, d) for n, d in pairs)
+        assert p == P(*ref)
+        _assert_canonical(p, ref)
+
+
+@pytest.mark.parametrize("bad", [[True, 1], [1, True], [False, 1], [1.0, 2], [1, 2, 3], "1/2"])
+def test_json_pairs_must_be_integers_not_booleans(bad):
+    from plgraph.errors import ConfigError
+    from plgraph.jsonio import point_from_json, rat_from_json
+
+    with pytest.raises(ConfigError) as exc:
+        rat_from_json(bad, "epsilon")
+    assert exc.value.field == "epsilon"
+    assert "expected a [numerator, denominator] integer pair" in str(exc.value)
+    with pytest.raises(ConfigError) as exc:
+        point_from_json([[0, 1], bad, [0, 1]], "center")
+    assert exc.value.field == "center[1]"
+    assert "expected a [numerator, denominator] integer pair" in str(exc.value)
+
+
+def test_json_zero_denominator_names_the_coordinate():
+    from plgraph.errors import ConfigError
+    from plgraph.jsonio import point_from_json
+
+    with pytest.raises(ConfigError) as exc:
+        point_from_json([[0, 1], [0, 1], [3, 0]], "alpha[4]")
+    assert exc.value.field == "alpha[4][2]"
+    assert "zero denominator" in str(exc.value)
+
+
 def test_orient3d_unit_tetrahedron():
     assert orient3d(P(0, 0, 0), P(1, 0, 0), P(0, 1, 0), P(0, 0, 1)) == 1
 

@@ -23,7 +23,12 @@ from plgraph.scene import (
     sphere_point,
     split_scene_embedding,
 )
-from plgraph.verify import check_equator_claim, star_exit_code, verify_star
+from plgraph.verify import (
+    check_equator_claim,
+    star_exit_code,
+    upper_sample_points,
+    verify_star,
+)
 
 P = ExactPoint
 
@@ -249,6 +254,22 @@ class TestEquator:
             control_equator.value.to_jsonable()
         )
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_samples_below_one_rejected(self, control_scene, samples, monkeypatch):
+        import multiprocessing
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        with pytest.raises(ConfigError) as exc:
+            upper_sample_points(control_scene, samples)
+        assert exc.value.field == "samples"
+        with pytest.raises(ConfigError) as exc:
+            check_equator_claim(control_scene, sample_count=samples, threads=2)
+        assert exc.value.field == "samples"
+        assert str(exc.value) == "samples: samples must be >= 1"
+
     def test_vacuous_when_no_placement_satisfies_premise(self):
         cfg = default_paper_config()
         cfg.grid = GridSpec(shells=1, frequency=1)
@@ -293,6 +314,7 @@ class TestDefaultSceneInvariants:
         # The document is canonically serializable.
         canonical_dumps(doc)
 
+    @pytest.mark.slow
     def test_blocked_segments_also_meet_the_union_disk(self, default_scene, default_star):
         # Whatever crosses the panel fan's interior also crosses the union
         # of the full cone and the near-sphere strip; checked on all minimal
@@ -312,9 +334,11 @@ class TestDefaultSceneInvariants:
                 checked += 1
         assert checked > 100
 
+    @pytest.mark.slow
     def test_default_min_blocked_at_least_one(self, default_star):
         assert default_star.value.min_blocked >= 1
 
+    @pytest.mark.slow
     def test_star_exit_code_zero_for_default(self, default_star):
         assert star_exit_code(default_star.value) == 0
 

@@ -8,10 +8,17 @@ polyline segments may touch at the point between them, and two graph edges
 at the position of the vertex they share.  The checks run through the
 callers of the scan: the scene's polyline checks, ``ClosedPolygon``, the
 linking routes' disjointness check and ``validate_embedding``.
+
+The longer sets (30 to 80 segments) put their points on mixed denominators
+1 to 7, so the scan's integer boxes sit on a common denominator that differs
+from every segment's own; most of their segments are far apart, and planted
+contacts (a stop on an earlier segment, a pass through one, a run along one's
+line) put the first offender anywhere in the (i, j) order.
 """
 
 import random
 import re
+from fractions import Fraction
 from itertools import combinations
 
 from plgraph.errors import CurvesIntersectError, DegenerateGeometryError, SceneInvariantViolation
@@ -170,3 +177,120 @@ def test_small_embeddings():
             kinds.add(want[1])
     assert kinds == {"endpoint-touch", "interior-cross", "collinear-overlap"}
 
+
+
+LONG_CASES = 40
+PLANT_PARAMS = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 7),
+                Fraction(-1, 2), Fraction(3, 2), Fraction(5, 4))
+
+
+def mixed_point(rng):
+    """A point in [-6, 6]^3 whose coordinates have denominators 1 to 7."""
+    return ExactPoint(*(Fraction(rng.randint(-6 * d, 6 * d), d)
+                        for d in (rng.randint(1, 7) for _ in range(3))))
+
+
+def planted(rng, prev, base):
+    """New points that make contact with a segment of ``base``: a stop on its
+    line, a pass through a point of it from ``prev``, or a run along it."""
+    a, b = rng.choice(base)
+    on = lambda: a + (b - a).scale(rng.choice(PLANT_PARAMS))
+    kind = rng.randrange(3)
+    if kind == 0:
+        return [on()]
+    if kind == 1:
+        m = on()
+        return [m + (m - prev)]
+    return [on(), on()]
+
+
+def mixed_walk(rng, n, other=None):
+    """n points (no two consecutive equal) with planted contacts to the
+    walk's own earlier segments or to the polyline ``other``."""
+    pts = [mixed_point(rng)]
+    while len(pts) < n:
+        base = list(zip(pts, pts[1:]))[:-1]
+        if other is not None and rng.random() < 0.5:
+            base = list(zip(other, other[1:]))
+        new = planted(rng, pts[-1], base) if base and rng.random() < 0.06 else [mixed_point(rng)]
+        for p in new:
+            if p != pts[-1] and len(pts) < n:
+                pts.append(p)
+    return pts
+
+
+def test_long_mixed_denominator_polylines():
+    kinds, denominators, late = set(), set(), 0
+    for seed in range(LONG_CASES):
+        rng = random.Random(1000 + seed)
+        pts = mixed_walk(rng, rng.randint(31, 81))
+        denominators |= {p.irep[3] for p in pts}
+        want = polyline_reference(pts)
+        try:
+            _polyline_simple(pts, "walk")
+            got = None
+        except SceneInvariantViolation as exc:
+            got = exc.witness
+        assert got == want, seed
+        kinds.add(want[2].kind if want else None)
+        late += bool(want and want[0] >= 10)
+    assert kinds == {None, "endpoint-touch", "interior-cross", "collinear-overlap"}
+    assert set(range(1, 8)) <= denominators and late >= 5
+
+
+def test_long_mixed_denominator_polyline_pairs():
+    kinds = set()
+    for seed in range(LONG_CASES):
+        rng = random.Random(2000 + seed)
+        pa = mixed_walk(rng, rng.randint(16, 41))
+        pb = mixed_walk(rng, rng.randint(16, 41), other=pa)
+        want = polyline_reference(pa, pb)
+        try:
+            _polylines_disjoint(pa, pb, "pair")
+            got = None
+        except SceneInvariantViolation as exc:
+            got = exc.witness
+        assert got == want, seed
+        kinds.add(want[2].kind if want else None)
+    assert kinds == {None, "endpoint-touch", "interior-cross", "collinear-overlap"}
+
+
+def mixed_embedding(rng, n_edges):
+    """A graph on mixed-denominator points with n_edges edges, some of them
+    planted to meet an earlier edge."""
+    pos, edges = [mixed_point(rng) for _ in range(6)], set()
+
+    def vertex(p):
+        if p not in pos:
+            pos.append(p)
+        return pos.index(p)
+
+    while len(edges) < n_edges:
+        r = rng.random()
+        if edges and r < 0.05:
+            u, w = rng.choice(sorted(edges))
+            q = mixed_point(rng)
+            new = planted(rng, q, [(pos[u], pos[w])])
+            ends = [vertex(q), vertex(new[0])] if len(new) == 1 else [vertex(p) for p in new]
+        elif r < 0.5:
+            ends = [rng.randrange(len(pos)), vertex(mixed_point(rng))]
+        else:
+            ends = rng.sample(range(len(pos)), 2)
+        if ends[0] != ends[1]:
+            edges.add(tuple(sorted(ends)))
+    return LinearEmbedding(SpatialGraph(range(len(pos)), sorted(edges)), dict(enumerate(pos)))
+
+
+def test_long_mixed_denominator_embeddings():
+    kinds = set()
+    for seed in range(LONG_CASES):
+        rng = random.Random(3000 + seed)
+        emb = mixed_embedding(rng, rng.randint(30, 80))
+        want = edge_reference(emb)
+        res = validate_embedding(emb)
+        if want is None:
+            assert res.valid or res.witness[0] == "vertex-edge", seed
+        else:
+            assert res.witness == want[0], seed
+        kinds.add(want and want[1])
+    assert kinds == {None, "endpoint-touch", "interior-cross", "collinear-overlap"}
