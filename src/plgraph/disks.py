@@ -58,6 +58,14 @@ def _in_cone(w, a, b, n) -> bool:
     return idot(icross(a, w), n) >= 0 and idot(icross(w, b), n) >= 0
 
 
+def _side_rows(normals, dirs) -> List[bytes]:
+    """One ``bytes`` row per integer normal: the sign (plus 1) of each
+    integer direction in ``dirs`` against it."""
+    return [bytes([(v > 0) - (v < 0) + 1 for v in
+                   [n0 * x + n1 * y + n2 * z for x, y, z, _ in dirs]])
+            for n0, n1, n2 in normals]
+
+
 def _cones_share_direction(a, b, c, d) -> bool:
     """Do the 2D positive cones span(a,b) and span(c,d) share a nonzero
     direction?  All arguments are integer vectors; each pair is linearly
@@ -110,18 +118,19 @@ class FanDisk:
         self.apex = apex
         self.rim = rim
         self.closed = closed
-        self._idirs = [(p - apex).irep for p in rim]
+        # Integer rim directions rim[k] - apex.  A closed fan's direction 0
+        # repeats at the end, so triangle i always spans entries i and i + 1.
+        dirs = [(p - apex).irep for p in rim]
+        self._idirs = dirs + dirs[:1] if closed else dirs
         self._inormals = []
         self.triangles: List[Triangle] = []
         m = len(rim)
-        count = m if closed else m - 1
-        for i in range(count):
-            j = (i + 1) % m
-            n = icross(self._idirs[i], self._idirs[j])
+        for i in range(len(self._idirs) - 1):
+            n = icross(self._idirs[i], self._idirs[i + 1])
             if n == (0, 0, 0):
                 raise FanConstructionError("degenerate-triangle", ("chord-through-apex", i))
             self._inormals.append(n)
-            self.triangles.append(Triangle(apex, rim[i], rim[j]))
+            self.triangles.append(Triangle(apex, rim[i], rim[(i + 1) % m]))
         self._validate_embedded()
 
     # -- structure ---------------------------------------------------------
@@ -163,19 +172,16 @@ class FanDisk:
         Triangles i and j share the apex, so they meet elsewhere exactly when
         their direction cones share a direction.  ``side[i][k]`` is, once per
         triangle, the sign (plus 1, one byte) of rim direction k against
-        triangle i's normal; triangle j spans columns j and j + 1 (a closed
-        fan's rim direction 0 repeats as column m).  A non-adjacent pair is
-        apart when either triangle's two rim directions lie strictly on one
-        side of the other's plane, read from the table; only the rest reach
-        :func:`_cones_share_direction`.  Pairs are decided in (i, j) order,
-        so the first offending pair is the one reported.
+        triangle i's normal; triangle j spans columns j and j + 1 of
+        ``_idirs``.  A non-adjacent pair is apart when either triangle's two
+        rim directions lie strictly on one side of the other's plane, read
+        from the table; only the rest reach :func:`_cones_share_direction`.
+        Pairs are decided in (i, j) order, so the first offending pair is the
+        one reported.
         """
-        dirs = self._idirs
-        cols = dirs + dirs[:1] if self.closed else dirs
+        cols = self._idirs
         count = len(self.triangles)
-        side = [bytes([(v > 0) - (v < 0) + 1 for v in
-                       [n0 * x + n1 * y + n2 * z for x, y, z, _ in cols]])
-                for n0, n1, n2 in self._inormals]
+        side = _side_rows(self._inormals, cols)
         for i in range(count):
             si = side[i]
             if i + 1 < count:
@@ -197,9 +203,9 @@ class FanDisk:
         """Raise unless adjacent triangles i < j meet only in their shared
         spoke: rim direction j when j == i + 1, or rim direction 0 for the
         closing pair (0, m - 1) of a closed fan."""
-        dirs, m = self._idirs, len(self.rim)
+        dirs = self._idirs
         if j == i + 1:
-            sh, p1, p2 = dirs[j], dirs[i], dirs[(j + 1) % m]
+            sh, p1, p2 = dirs[j], dirs[i], dirs[j + 1]
         else:
             sh, p1, p2 = dirs[0], dirs[1], dirs[j]
         n = icross(p1, sh)
@@ -275,6 +281,18 @@ class FanDisk:
         shared features are reported once.  A straight segment meets each
         disk feature in at most one connected set, so contacts are keyed by
         feature.
+
+        One sign row per segment decides which triangles are visited.  With
+        N = (a - apex) x (b - apex), the normal of plane(apex, a, b), entry k
+        of the row is the sign of N . (rim[k] - apex), which is
+        ``orient3d(a, b, apex, rim[k])``; it also serves as the spoke test of
+        every triangle that touches rim point k.  A triangle whose two rim
+        points lie strictly on one side of that plane meets the plane only at
+        the apex, and the apex is off the segment whenever N is nonzero, so
+        the triangle is skipped: it could contribute no contact.  When N is
+        zero (apex, a and b collinear, an endpoint at the apex included) the
+        row is all zeros and every triangle is visited, as in the full loop.
+        The visited triangles keep their order, so the result is the same.
         """
         entries = {}
 
@@ -287,31 +305,22 @@ class FanDisk:
 
         va = (s.a - self.apex).irep
         vb = (s.b - self.apex).irep
-        sides_a = [sign(idot(n, va)) for n in self._inormals]
-        sides_b = [sign(idot(n, vb)) for n in self._inormals]
+        row = _side_rows([icross(va, vb)], self._idirs)[0]
+        live = [i for i in range(len(self.triangles)) if row[i] == 1 or row[i] != row[i + 1]]
         slow: List[int] = []
-        edge_cache = {}
-
-        def espoke(i):
-            # orient3d(s.a, s.b, apex, rim[i]) memoized per spoke.
-            r = edge_cache.get(i)
-            if r is None:
-                r = orient3d(s.a, s.b, self.apex, self.rim[i])
-                edge_cache[i] = r
-            return r
-
         m = len(self.rim)
-        for i in range(len(self.triangles)):
-            sa, sb = sides_a[i], sides_b[i]
+        for i in live:
+            n = self._inormals[i]
+            sa, sb = sign(idot(n, va)), sign(idot(n, vb))
             if sa == 0 or sb == 0:
                 slow.append(i)
                 continue
             if sa == sb:
                 continue
             j = (i + 1) % m
-            e1 = espoke(i)                                     # edge apex->rim[i]
+            e1 = row[i] - 1                                    # edge apex->rim[i]
             e2 = orient3d(s.a, s.b, self.rim[i], self.rim[j])  # rim chord
-            e3 = -espoke(j)                                    # edge rim[j]->apex
+            e3 = 1 - row[i + 1]                                # edge rim[j]->apex
             want = -sa
             if (e1 != 0 and e1 != want) or (e2 != 0 and e2 != want) or (e3 != 0 and e3 != want):
                 continue
@@ -420,14 +429,26 @@ class DiskDiskResult:
 
 def _shared_apex_classify(d1: FanDisk, d2: FanDisk) -> DiskDiskResult:
     """Fan pair with a common apex: triangles meet away from the apex iff
-    their direction cones share a direction, which is an exact integer test."""
+    their direction cones share a direction, which is an exact integer test.
+
+    ``side1[i]`` holds the signs of d2's rim directions against d1's
+    triangle i, and ``side2[j]`` those of d1's rim directions against d2's
+    triangle j (rows as in :meth:`FanDisk._validate_embedded`).  A pair is
+    apart when either triangle's two rim directions lie strictly on one side
+    of the other's plane, read from the rows; only the rest reach
+    :func:`_cones_share_direction`.  Pairs are decided in (i, j) order, so
+    the first meeting pair is the one reported.
+    """
     apex = d1.apex
-    m1, m2 = len(d1.rim), len(d2.rim)
-    for i in range(len(d1.triangles)):
-        a, b = d1._idirs[i], d1._idirs[(i + 1) % m1]
-        for j in range(len(d2.triangles)):
-            c, dd = d2._idirs[j], d2._idirs[(j + 1) % m2]
-            if _cones_share_direction(a, b, c, dd):
+    dirs1, dirs2 = d1._idirs, d2._idirs
+    side1 = _side_rows(d1._inormals, dirs2)
+    side2 = _side_rows(d2._inormals, dirs1)
+    for i, si in enumerate(side1):
+        unsettled = [j for j, sj in enumerate(side2)
+                     if (si[j] == 1 or si[j] != si[j + 1])
+                     and (sj[i] == 1 or sj[i] != sj[i + 1])]
+        for j in unsettled:
+            if _cones_share_direction(dirs1[i], dirs1[i + 1], dirs2[j], dirs2[j + 1]):
                 ev = triangle_triangle_intersection(d1.triangles[i], d2.triangles[j])
                 return DiskDiskResult("larger-intersection", witness=(i, j, ev))
     f1 = d1.locate_point(apex)

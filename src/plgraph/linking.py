@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .errors import (
+    ConfigError,
     CurvesIntersectError,
     DegenerateGeometryError,
     NonGenericApexError,
@@ -29,6 +30,11 @@ from .exactgeom import (
     segment_contact,
     segment_triangle_contacts,
 )
+
+# The longest cycle pairwise_link_scan enumerates: 4x the CLI's default
+# of 6, the most that any shipped test, demo or bench input passes it.  The
+# number of simple cycles of a dense graph grows exponentially with it.
+MAX_CYCLE_LEN = 24
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -296,10 +302,13 @@ def pairwise_link_scan(e, max_cycle_len: int) -> LinkReport:
 
     Each pair's value is computed by the projection route with a
     deterministically found generic direction and cross-checked against the
-    cone route; a mismatch aborts with a diagnostic.
+    cone route; a mismatch aborts with a diagnostic.  ``max_cycle_len``
+    above :data:`MAX_CYCLE_LEN` raises :class:`ConfigError`.
     """
     from .graphs import enumerate_cycles, validate_embedding
 
+    if max_cycle_len > MAX_CYCLE_LEN:
+        raise ConfigError(f"max_cycle_len must be <= {MAX_CYCLE_LEN}", "max_cycle_len")
     res = validate_embedding(e)
     if not res.valid:
         raise CurvesIntersectError(f"embedding invalid: {res.witness!r}")

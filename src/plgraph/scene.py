@@ -31,6 +31,20 @@ from .jsonio import point_from_json, point_to_json, rat_from_json, rat_to_json
 
 RATIONAL_DENOM = 10 ** 6
 
+# Upper bounds on the sizes a config or the CLI may ask for, each 4x the
+# largest that any shipped config, test, demo or bench input uses, so that a
+# mistyped value exits 1 naming its field instead of running for days or
+# filling memory.
+# A frequency-f grid has 10 f^2 + 2 directions per shell: 23,042 at 48,
+# against 1,442 at the default scene's 12.
+MAX_GRID_FREQUENCY = 48
+# The default scene's 4 shells, times 4: with MAX_GRID_FREQUENCY, a grid of
+# at most 368,672 placements.
+MAX_GRID_SHELLS = 16
+# The chain subdivision count, 4x the default scene's 64: the panel fan
+# has 2 n triangles, and its validation compares them pairwise.
+MAX_N = 256
+
 
 def rationalize(x: float, denom: int = RATIONAL_DENOM) -> Fraction:
     """Nearest rational with the given denominator (half-up on magnitude)."""
@@ -76,6 +90,8 @@ def icosphere_directions(frequency: int) -> List[ExactPoint]:
     """
     if frequency < 1:
         raise ConfigError("frequency must be >= 1", "grid.frequency")
+    if frequency > MAX_GRID_FREQUENCY:
+        raise ConfigError(f"frequency must be <= {MAX_GRID_FREQUENCY}", "grid.frequency")
     phi = (1.0 + math.sqrt(5.0)) / 2.0
     raw = [
         (-1.0, phi, 0.0), (1.0, phi, 0.0), (-1.0, -phi, 0.0), (1.0, -phi, 0.0),
@@ -123,8 +139,12 @@ class GridSpec:
     def validate(self):
         if self.shells < 1:
             raise ConfigError("shells must be >= 1", "grid.shells")
+        if self.shells > MAX_GRID_SHELLS:
+            raise ConfigError(f"shells must be <= {MAX_GRID_SHELLS}", "grid.shells")
         if self.frequency < 1:
             raise ConfigError("frequency must be >= 1", "grid.frequency")
+        if self.frequency > MAX_GRID_FREQUENCY:
+            raise ConfigError(f"frequency must be <= {MAX_GRID_FREQUENCY}", "grid.frequency")
 
     def placements(self, center: ExactPoint, epsilon: Fraction) -> List[ExactPoint]:
         """Points x with 0 < |x - center| <= epsilon (plus the center itself
@@ -202,6 +222,8 @@ class SceneConfig:
             raise ConfigError("epsilon must be positive", "epsilon")
         if self.n < 1:
             raise ConfigError("n must be >= 1", "n")
+        if self.n > MAX_N:
+            raise ConfigError(f"n must be <= {MAX_N}", "n")
         if self.tol < 0:
             raise ConfigError("tol must be >= 0", "tol")
         if len(self.alpha) < 2:

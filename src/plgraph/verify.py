@@ -31,6 +31,12 @@ from .scene import Scene, SceneConfig, icosphere_directions
 
 SEGMENT_NAMES = ("a1x", "cx", "b1x")
 
+# The most upper samples the equator check takes: 4x the CLI's default of
+# 60, which no shipped test or bench input exceeds.  upper_sample_points
+# reaches it at icosphere frequency 8 (642 directions), and the check
+# classifies every premise placement against every sample.
+MAX_SAMPLES = 256
+
 
 def _feature_jsonable(feature) -> list:
     return [feature[0]] + [int(v) for v in feature[1:]]
@@ -321,10 +327,12 @@ def upper_sample_points(scene: Scene, sample_count: int,
                         frequency: int = 4) -> List[ExactPoint]:
     """Deterministic rational near-sphere samples with z above the center.
 
-    ``sample_count`` must be at least 1.
+    ``sample_count`` must be at least 1 and at most :data:`MAX_SAMPLES`.
     """
     if sample_count < 1:
         raise ConfigError("samples must be >= 1", "samples")
+    if sample_count > MAX_SAMPLES:
+        raise ConfigError(f"samples must be <= {MAX_SAMPLES}", "samples")
     out = []
     f = frequency
     while True:
@@ -391,8 +399,8 @@ def check_equator_claim(scene: Scene, cfg: Optional[SceneConfig] = None,
     configuration, and the short-arc control must produce some.  Placement
     rows are independent, so ``threads > 1`` distributes them across worker
     processes (see :func:`_parallel_map`) without changing the report.
-    ``sample_count`` below 1 raises :class:`ConfigError` before any
-    placement is evaluated.
+    ``sample_count`` below 1 or above :data:`MAX_SAMPLES` raises
+    :class:`ConfigError` before any placement is evaluated.
     """
     cfg = cfg or scene.config
     delta = scene.delta_disk

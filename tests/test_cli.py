@@ -10,7 +10,9 @@ import pytest
 
 from plgraph.cli import _manifest
 from plgraph.jsonio import canonical_dumps
-from plgraph.scene import control_short_arc_config
+from plgraph.linking import MAX_CYCLE_LEN
+from plgraph.scene import MAX_GRID_FREQUENCY, MAX_GRID_SHELLS, MAX_N, control_short_arc_config
+from plgraph.verify import MAX_SAMPLES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PKG_DATA = SRC / "plgraph" / "data"
@@ -238,3 +240,25 @@ class TestEquatorCommand:
         assert proc.returncode == 1
         assert "samples: samples must be >= 1" in proc.stderr
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command, option, limit, message", [
+    ("verify-star", "--grid-dirs", MAX_GRID_FREQUENCY, "grid.frequency: frequency must be <="),
+    ("verify-star", "--grid-shells", MAX_GRID_SHELLS, "grid.shells: shells must be <="),
+    ("verify-star", "--n", MAX_N, "n: n must be <="),
+    ("equator", "--samples", MAX_SAMPLES, "samples: samples must be <="),
+    ("lk", "--max-cycle-len", MAX_CYCLE_LEN, "max_cycle_len: max_cycle_len must be <="),
+])
+def test_oversized_input_exits_1_naming_the_field(tmp_path, command, option, limit, message):
+    # Serial (the default --threads 1), so no worker process can start.
+    if command == "lk":
+        source = tmp_path / "hopf.json"
+        source.write_text(json.dumps(HOPF_EMBEDDING))
+        args = [str(source)]
+    else:
+        args = ["--config", str(CONTROL)]
+    out = tmp_path / "out.json"
+    proc = run_cli(command, *args, option, str(limit + 1), "--out", str(out))
+    assert proc.returncode == 1
+    assert f"{message} {limit}" in proc.stderr
+    assert not out.exists()

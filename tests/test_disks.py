@@ -24,6 +24,7 @@ from plgraph.exactgeom import (
     idot,
     segment_segment_classify,
     sign,
+    triangle_triangle_intersection,
 )
 from plgraph.graphs import LinearEmbedding, SpatialGraph
 from plgraph.scene import sphere_point
@@ -139,6 +140,46 @@ def test_fan_validation_matches_pairwise_reference(closed):
         assert got == want, (seed, apex, rim)
         seen.add(want and want[0])
     assert seen == {None, "adjacent-overlap", "triangles-meet"}
+
+
+def reference_shared_apex_meeting(d1, d2):
+    """The first triangle pair of two fans with a common apex that meets
+    away from the apex, by the plain pairwise loop, as disk_disk_classify's
+    witness ``(i, j, ev)``, or None."""
+    m1, m2 = len(d1.rim), len(d2.rim)
+    dirs1 = [(p - d1.apex).irep for p in d1.rim]
+    dirs2 = [(p - d2.apex).irep for p in d2.rim]
+    for i in range(d1.n_triangles):
+        for j in range(d2.n_triangles):
+            if _cones_share_direction(dirs1[i], dirs1[(i + 1) % m1],
+                                      dirs2[j], dirs2[(j + 1) % m2]):
+                return (i, j, triangle_triangle_intersection(d1.triangles[i], d2.triangles[j]))
+    return None
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_shared_apex_classification_matches_pairwise_reference(closed):
+    """Lattice fan pairs with a common apex, the first one open or closed,
+    the second either: the same witness as the reference, or a single point
+    at the apex."""
+    lattice = [P(x, y, z) for x in range(-2, 3) for y in range(-2, 3) for z in range(-1, 2)]
+    outcomes = set()
+    for seed in range(1000):
+        rng = random.Random(seed)
+        apex = rng.choice((O, P(0, 0, -1), P(Fraction(1, 2), 0, Fraction(-1, 3))))
+        try:
+            d1 = cone(apex, rng.sample(lattice, rng.randint(3, 7)), closed=closed)
+            d2 = cone(apex, rng.sample(lattice, rng.randint(3, 7)), closed=rng.random() < 0.5)
+        except FanConstructionError:
+            continue
+        got = disk_disk_classify(d1, d2)
+        want = reference_shared_apex_meeting(d1, d2)
+        if want is None:
+            assert (got.kind, got.point) == ("single-point", apex), seed
+        else:
+            assert (got.kind, got.witness) == ("larger-intersection", want), seed
+        outcomes.add(got.kind)
+    assert outcomes == {"single-point", "larger-intersection"}
 
 
 FAN = cone(O, [P(1, 0, 0), P(0, 1, 0)])

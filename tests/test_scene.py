@@ -8,9 +8,13 @@ import pytest
 from plgraph.disks import disk_disk_classify
 from plgraph.errors import ConfigError, SceneInvariantViolation, SpliceMismatchError
 from plgraph.exactgeom import ExactPoint, Segment
-from plgraph.graphs import validate_embedding
+from plgraph.graphs import LinearEmbedding, SpatialGraph, validate_embedding
 from plgraph.jsonio import canonical_dumps
+from plgraph.linking import MAX_CYCLE_LEN, pairwise_link_scan
 from plgraph.scene import (
+    MAX_GRID_FREQUENCY,
+    MAX_GRID_SHELLS,
+    MAX_N,
     GridSpec,
     SceneConfig,
     build_scene,
@@ -24,6 +28,7 @@ from plgraph.scene import (
     split_scene_embedding,
 )
 from plgraph.verify import (
+    MAX_SAMPLES,
     check_equator_claim,
     star_exit_code,
     upper_sample_points,
@@ -278,6 +283,84 @@ class TestEquator:
         assert rep.vacuous
         assert rep.pairs_checked == 0
         assert len(rep.premise_indices) == 0
+
+
+def _two_triangles():
+    g = SpatialGraph(range(6), [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    pos = {0: P(0, 0, 0), 1: P(2, 0, 0), 2: P(0, 2, 0),
+           3: P(10, 0, 0), 4: P(12, 0, 0), 5: P(10, 2, 1)}
+    return LinearEmbedding(g, pos)
+
+
+class TestInputBounds:
+    """Oversized inputs raise ConfigError naming their field, before any
+    grid is built or worker started."""
+
+    @pytest.fixture
+    def nothing_starts(self, monkeypatch):
+        import multiprocessing
+
+        from plgraph import scene as scene_module
+        from plgraph import verify as verify_module
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a grid was built or a worker pool was started")
+
+        monkeypatch.setattr(multiprocessing, "get_context", refuse)
+        monkeypatch.setattr(scene_module, "icosphere_directions", refuse)
+        monkeypatch.setattr(verify_module, "icosphere_directions", refuse)
+
+    def test_limits_leave_room_above_the_shipped_inputs(self):
+        default = default_paper_config()
+        assert MAX_GRID_FREQUENCY >= 4 * default.grid.frequency
+        assert MAX_GRID_SHELLS >= 4 * default.grid.shells
+        assert MAX_N >= 4 * default.n
+        assert MAX_SAMPLES >= 4 * 60 and MAX_CYCLE_LEN >= 4 * 6
+
+    @pytest.mark.parametrize("shells, frequency, field", [
+        (MAX_GRID_SHELLS + 1, 2, "grid.shells"),
+        (1, MAX_GRID_FREQUENCY + 1, "grid.frequency"),
+        (10 ** 9, 10 ** 9, "grid.shells"),
+    ])
+    def test_grid_above_limit_rejected(self, nothing_starts, shells, frequency, field):
+        cfg = control_short_arc_config()
+        cfg.grid = GridSpec(shells=shells, frequency=frequency)
+        with pytest.raises(ConfigError) as exc:
+            build_scene(cfg)
+        assert exc.value.field == field
+
+    def test_icosphere_above_limit_rejected(self):
+        with pytest.raises(ConfigError) as exc:
+            icosphere_directions(MAX_GRID_FREQUENCY + 1)
+        assert str(exc.value) == f"grid.frequency: frequency must be <= {MAX_GRID_FREQUENCY}"
+
+    def test_n_above_limit_rejected(self, nothing_starts):
+        cfg = control_short_arc_config()
+        cfg.n = MAX_N + 1
+        with pytest.raises(ConfigError) as exc:
+            build_scene(cfg)
+        assert str(exc.value) == f"n: n must be <= {MAX_N}"
+
+    def test_samples_above_limit_rejected(self, control_scene, nothing_starts):
+        with pytest.raises(ConfigError) as exc:
+            upper_sample_points(control_scene, MAX_SAMPLES + 1)
+        assert exc.value.field == "samples"
+        with pytest.raises(ConfigError) as exc:
+            check_equator_claim(control_scene, sample_count=10 ** 9, threads=2)
+        assert str(exc.value) == f"samples: samples must be <= {MAX_SAMPLES}"
+
+    def test_max_cycle_len_above_limit_rejected(self, nothing_starts):
+        with pytest.raises(ConfigError) as exc:
+            pairwise_link_scan(_two_triangles(), MAX_CYCLE_LEN + 1)
+        assert str(exc.value) == f"max_cycle_len: max_cycle_len must be <= {MAX_CYCLE_LEN}"
+
+    def test_limits_themselves_accepted(self, control_scene):
+        GridSpec(shells=MAX_GRID_SHELLS, frequency=MAX_GRID_FREQUENCY).validate()
+        cfg = control_short_arc_config()
+        cfg.n = MAX_N
+        cfg.validate()
+        assert len(upper_sample_points(control_scene, MAX_SAMPLES)) == MAX_SAMPLES
+        assert len(pairwise_link_scan(_two_triangles(), MAX_CYCLE_LEN).pairs) == 1
 
 
 class TestSceneGraph:
