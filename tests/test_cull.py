@@ -1,14 +1,17 @@
-"""The fan cull changes no result.
+"""The fan cull and the independent route's integer table change no result.
 
 ``FanDisk.classify_segment`` and ``crosscheck.fan_contact_features`` visit
 only the fan triangles whose two rim points are not strictly on one side of
-plane(apex, a, b).  Each is compared here with a full loop over every
+plane(apex, a, b), and ``crosscheck`` takes its signs from a per-fan table of
+integers.  Each route is compared here with a full Fraction loop over every
 triangle, kept in this file: on every scan segment of the control scene and
-of a reduced default grid, and on seeded segments against lattice fans with
-the degenerate cases planted.
+of a reduced default grid, and on seeded segments against integer and
+rational lattice fans with the degenerate cases planted.
 """
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -22,6 +25,7 @@ from plgraph.crosscheck import (
     _sub,
     _tri_barycentric,
     fan_contact_features,
+    fan_meets_interior,
 )
 from plgraph.disks import DiskContact, DiskSegmentResult, _feature_key, cone
 from plgraph.errors import FanConstructionError
@@ -177,7 +181,9 @@ def full_contact_features(fan, seg):
 
 def assert_both_routes_match(fan, seg):
     assert fan.classify_segment(seg) == full_classify_segment(fan, seg), seg
-    assert fan_contact_features(fan, seg) == full_contact_features(fan, seg), seg
+    full = full_contact_features(fan, seg)
+    assert fan_contact_features(fan, seg) == full, seg
+    assert fan_meets_interior(fan, seg) == full[0], seg
 
 
 def scan_segments(scene, samples):
@@ -230,19 +236,20 @@ def midpoint(p, q):
     return p + (q - p).scale(HALF)
 
 
-def lattice_segments(rng, fan):
-    """Random lattice segments, plus one of each planted degenerate kind."""
+def lattice_segments(rng, fan, lattice=LATTICE):
+    """Random segments between lattice points, plus one of each planted
+    degenerate kind."""
     apex, rim, m = fan.apex, fan.rim, len(fan.rim)
     k = rng.randrange(fan.n_triangles)
     r0, r1 = rim[k], rim[(k + 1) % m]
-    other = rng.choice([p for p in LATTICE if p != apex])
-    segs = [tuple(rng.sample(LATTICE, 2)) for _ in range(6)]
+    other = rng.choice([p for p in lattice if p != apex])
+    segs = [tuple(rng.sample(lattice, 2)) for _ in range(6)]
     segs += [
         (apex, other),                                         # endpoint at the apex
         (apex + (apex - other), other),                        # through the apex
         (apex + (other - apex).scale(2), other),               # apex on the line, off the segment
-        (midpoint(apex, r0), rng.choice(LATTICE)),             # endpoint on a spoke
-        (midpoint(r0, r1), rng.choice(LATTICE)),               # endpoint on a rim chord
+        (midpoint(apex, r0), rng.choice(lattice)),             # endpoint on a spoke
+        (midpoint(r0, r1), rng.choice(lattice)),               # endpoint on a rim chord
         (midpoint(apex, r0), midpoint(r0, r1)),                # coplanar with triangle k
         (r0 + (r0 - other), other),                            # rim point on plane(o, a, b)
     ]
@@ -279,6 +286,12 @@ def _between(p, a, b):
     return (p - a).dot(b - a) > 0 and (p - b).dot(a - b) > 0
 
 
+ALL_KINDS = {
+    "apex on line ab", "endpoint at apex", "segment through apex", "endpoint on a spoke",
+    "coplanar with a triangle", "endpoint on a rim chord", "rim point on plane(o, a, b)",
+}
+
+
 @pytest.mark.parametrize("closed", [False, True])
 def test_lattice_fans_match_full_loop(closed):
     kinds = set()
@@ -295,7 +308,70 @@ def test_lattice_fans_match_full_loop(closed):
             assert_both_routes_match(fan, seg)
             kinds |= degenerate_kinds(fan, seg)
     assert fans >= 100
-    assert kinds == {
-        "apex on line ab", "endpoint at apex", "segment through apex", "endpoint on a spoke",
-        "coplanar with a triangle", "endpoint on a rim chord", "rim point on plane(o, a, b)",
-    }
+    assert kinds == ALL_KINDS
+
+
+def rational_lattice(rng, size=12):
+    """Points with coordinates k/d, k in [-6, 6] and d in 1..7 drawn per
+    coordinate, so a fan's points share no denominator."""
+    return [P(*(Fraction(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(3)))
+            for _ in range(size)]
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_rational_lattice_fans_match_full_loop(closed):
+    kinds = set()
+    fans = 0
+    denominators = set()
+    for seed in range(400):
+        rng = random.Random(seed)
+        lattice = rational_lattice(rng)
+        apex, *rim = rng.sample(lattice, rng.randint(4, 7))
+        try:
+            fan = cone(apex, rim, closed=closed)
+        except FanConstructionError:
+            continue
+        fans += 1
+        denominators |= {c.denominator for p in [apex, *rim] for c in p.coords()}
+        for seg in lattice_segments(rng, fan, lattice):
+            assert_both_routes_match(fan, seg)
+            kinds |= degenerate_kinds(fan, seg)
+    assert fans >= 100
+    assert denominators == set(range(1, 8))
+    assert kinds == ALL_KINDS
+
+
+def test_table_cache_follows_each_fan():
+    """Two fans used in turn, then fans dropped and new ones built in their
+    place, all answer as the reference loop does on freshly built fans; a
+    dropped fan is not kept alive."""
+    rng = random.Random(7)
+
+    def some_fan():
+        while True:
+            lattice = rational_lattice(rng)
+            apex, *rim = rng.sample(lattice, 6)
+            try:
+                return cone(apex, rim), lattice
+            except FanConstructionError:
+                continue
+
+    def check(fan, segs):
+        for seg in segs:
+            full = full_contact_features(fan, seg)
+            assert fan_contact_features(fan, seg) == full, seg
+            assert fan_meets_interior(fan, seg) == full[0], seg
+
+    (fan_a, lat_a), (fan_b, lat_b) = some_fan(), some_fan()
+    segs_a, segs_b = lattice_segments(rng, fan_a, lat_a), lattice_segments(rng, fan_b, lat_b)
+    for _ in range(3):
+        check(fan_a, segs_a)
+        check(fan_b, segs_b)
+    for _ in range(10):
+        dropped = weakref.ref(fan_a)
+        del fan_a
+        gc.collect()
+        assert dropped() is None
+        fan_a, lat_a = some_fan()
+        check(fan_a, lattice_segments(rng, fan_a, lat_a))
+        check(fan_b, segs_b)

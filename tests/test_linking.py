@@ -12,7 +12,7 @@ from plgraph.errors import (
     NonGenericDirectionError,
 )
 from plgraph.exactgeom import ExactPoint
-from plgraph.graphs import LinearEmbedding, SpatialGraph
+from plgraph.graphs import LinearEmbedding, SpatialGraph, validate_embedding
 from plgraph.linking import (
     ClosedPolygon,
     find_generic_apex,
@@ -244,3 +244,47 @@ class TestPairwiseScan:
         doc = rep.to_jsonable()
         assert doc["pairs"][0]["linking_number"] == 0
         assert doc["pairs"][0]["cycle_a"] == [0, 1, 2]
+
+
+class TestConwayGordonSachs:
+    """Every embedding of K6 in space is linked: the linking numbers of its
+    ten pairs of disjoint triangles have an odd sum (Conway & Gordon, "Knots
+    and links in spatial graphs", 1983; Sachs 1983).  The same holds for
+    K3,3,1, whose nine disjoint cycle pairs each join a triangle through the
+    apex to a 4-cycle of K3,3.  Both routes agree on every pair inside
+    ``pairwise_link_scan``; this checks what they agree on."""
+
+    K6 = [(u, w) for u in range(6) for w in range(u + 1, 6)]
+    K331 = [(u, w) for u in range(3) for w in range(3, 6)] + [(6, u) for u in range(6)]
+
+    @staticmethod
+    def embeddings(edges, seed, count):
+        """``count`` seeded embeddings at integer points in [-50, 50]^3,
+        each redrawn until it is valid."""
+        rng = random.Random(seed)
+        graph = SpatialGraph({v for e in edges for v in e}, edges)
+        out = []
+        while len(out) < count:
+            pos = {v: P(*(rng.randint(-50, 50) for _ in range(3))) for v in graph.vertices}
+            emb = LinearEmbedding(graph, pos)
+            if validate_embedding(emb).valid:
+                out.append(emb)
+        return out
+
+    @pytest.mark.parametrize("edges, max_len, pairs", [(K6, 3, 10), (K331, 4, 9)],
+                             ids=["K6", "K331"])
+    def test_linking_numbers_have_odd_sum(self, edges, max_len, pairs):
+        for emb in self.embeddings(edges, 1983, 15):
+            rep = pairwise_link_scan(emb, max_len)
+            assert len(rep.pairs) == pairs
+            assert sum(p.linking_number for p in rep.pairs) % 2 == 1, emb.position
+
+    def test_mirror_negates_every_linking_number(self):
+        for emb in self.embeddings(self.K6, 1984, 5):
+            mirror = LinearEmbedding(emb.graph, {v: P(p.x, p.y, -p.z)
+                                                 for v, p in emb.position.items()})
+            rep, back = pairwise_link_scan(emb, 3), pairwise_link_scan(mirror, 3)
+            assert [(p.cycle_a, p.cycle_b) for p in back.pairs] == \
+                [(p.cycle_a, p.cycle_b) for p in rep.pairs]
+            assert [p.linking_number for p in back.pairs] == \
+                [-p.linking_number for p in rep.pairs]

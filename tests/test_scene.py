@@ -80,6 +80,35 @@ class TestConfig:
             SceneConfig.from_jsonable(doc)
         assert "epsilon" in str(exc.value)
 
+    @pytest.mark.parametrize("where, value, field", [
+        ("grid.shells", 2.9, "grid.shells"),
+        ("grid.shells", 2.0, "grid.shells"),
+        ("grid.frequency", True, "grid.frequency"),
+        ("grid.frequency", "4", "grid.frequency"),
+        ("grid.include_center", 1, "grid.include_center"),
+        ("grid", [2, 4], "grid"),
+        ("n", 4.7, "n"),
+        ("n", False, "n"),
+        ("a1_index", 2.5, "a1_index"),
+        ("c_index", True, "c_index"),
+        ("b1_index", 9.0, "b1_index"),
+        ("eta_range.0", 1.5, "eta_range"),
+        ("eta_range.1", True, "eta_range"),
+        ("eta_range", [1, 2, 3], "eta_range"),
+        ("beta_closed", 0, "beta_closed"),
+        ("beta_closed", "false", "beta_closed"),
+    ])
+    def test_mistyped_field_rejected_not_truncated(self, where, value, field):
+        doc = control_short_arc_config().to_jsonable()
+        *parents, last = [int(k) if k.isdigit() else k for k in where.split(".")]
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(ConfigError) as exc:
+            SceneConfig.from_jsonable(doc)
+        assert exc.value.field == field
+
 
 class TestIcosphere:
     def test_counts_follow_frequency(self):
