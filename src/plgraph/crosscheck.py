@@ -26,6 +26,10 @@ h0 / (h0 - h1) does not depend on it.  The crossing point, the barycentric
 location (with its ``u + w1 + w2 == n . n`` check), the coplanar clip and
 the witness stay in Fractions.
 
+**One solver per triangle.**  :func:`_triangle_contacts` solves a segment
+against one fan triangle, and :func:`_contacts` feeds it each visited
+triangle for both public routines.
+
 **The cull.**  :func:`fan_contact_features` solves only the triangles that
 can meet the segment.  It takes N = (a - apex) x (b - apex), the normal of
 plane(apex, a, b), and the dot of N with each rim spoke.  A triangle whose
@@ -37,13 +41,14 @@ triangle is solved.  The surviving triangles are solved in the same order,
 so the result is the same as a full loop's.  :func:`panel_check_bruteforce`
 reaches the culled route for every graph edge.
 
-:func:`fan_meets_interior`, the equator's per-pair recheck, keeps the full
-loop over triangles.  The same cull would apply to it: on top of the table
-it took control-t2's ``scan_s`` from 0.97 to 0.28 s, but its
-``peak_rss_mb`` from 47.96 to 55.55 MB (+15.8 %; seed 11, 35-s runs on a
-2-core host), because ``bench/run.py``
-keeps every repetition's report bytes and a faster equator fits more
-repetitions.  It waits until the benchmark keeps a digest per report.
+:func:`fan_meets_interior`, the equator's per-pair recheck, passes
+``cull=False`` and visits every triangle.  The same cull would give the same
+answers, and with it control-t2's ``scan_s`` went from 0.706 to 0.202 s
+(seed 31) and 0.669 to 0.208 s (seed 32), but its ``peak_rss_mb`` from 49.35
+to 56.36 MB (+14.2 %) and 48.50 to 55.11 MB (+13.6 %; 35-s runs on a 2-core
+host), because ``bench/run.py`` keeps every repetition's report bytes and a
+faster equator fits more repetitions.  It waits until the benchmark keeps a
+digest per report.
 """
 
 from __future__ import annotations
@@ -173,111 +178,79 @@ def _disk_feature(fan: FanDisk, i: int, feat):
     return (("apex",), ("rimvert", i), ("rimvert", j))[feat[1]]
 
 
+def _triangle_contacts(tri, a, b, d, h0, h1) -> list:
+    """The ``(triangle feature, point)`` contacts of segment ab (d = b - a)
+    with the fan triangle ``tri``, given the heights h0 and h1 of a and b
+    over its plane, both scaled by the same positive factor.
+
+    A segment across the plane is solved for its crossing parameter.  A
+    segment in the plane is clipped by barycentric positivity; its contacts
+    are the ends of the clipped piece and, when that has positive length,
+    its midpoint, which lies in the open triangle or inside an edge (a
+    vertex is no midpoint of two points of the triangle)."""
+    if h0 == 0 and h1 == 0:
+        lo, hi = Fraction(0), Fraction(1)
+        for fa, fb in zip(_tri_barycentric(tri, a), _tri_barycentric(tri, b)):
+            if fa < 0 and fb < 0:
+                return []
+            if fa < 0:
+                lo = max(lo, Fraction(fa, fa - fb))
+            elif fb < 0:
+                hi = min(hi, Fraction(fa, fa - fb))
+        if lo > hi:
+            return []
+        xs = [_along(a, t, d) for t in ((lo,) if lo == hi else (lo, hi, (lo + hi) / 2))]
+    elif h0 == 0 or h1 == 0:
+        xs = [a if h0 == 0 else b]
+    elif (h0 > 0) == (h1 > 0):
+        return []
+    else:
+        xs = [_along(a, Fraction(h0, h0 - h1), d)]
+    contacts = []
+    for x in xs:
+        feat = _bary_feature(*_tri_barycentric(tri, x))
+        if feat is not None:
+            contacts.append((feat, x))
+    return contacts
+
+
+def _contacts(fan: FanDisk, seg: Segment, cull: bool):
+    """``(disk feature, whether it is interior, point)`` for each contact of
+    the segment with the fan, triangle by triangle in order.  With ``cull``,
+    only the triangles that can meet plane(apex, a, b) away from the apex
+    are solved (see the module docstring); the others cannot meet the
+    segment."""
+    table = _table(fan)
+    a, b = seg.a.coords(), seg.b.coords()
+    d = _sub(b, a)
+    ia, ib = _scaled((_sub(a, table.apex), _sub(b, table.apex)))
+    for i in table.cut(_cross(ia, ib)) if cull else range(len(table.normals)):
+        n = table.normals[i]
+        for feat, x in _triangle_contacts(table.triangles[i], a, b, d, _dot(ia, n), _dot(ib, n)):
+            df = _disk_feature(fan, i, feat)
+            yield df, fan.feature_is_interior(df), x
+
+
 def fan_contact_features(fan: FanDisk, seg: Segment) -> Tuple[bool, Set[tuple], Optional[ExactPoint]]:
     """(meets_interior, disk features touched, an interior witness or None).
 
     Independent of FanDisk.classify_segment: plane crossings are solved
     parametrically from the fan table's integer heights and located
-    barycentrically with Fractions.  Only the
-    triangles that can meet plane(apex, a, b) away from the apex are solved;
-    the others cannot meet the segment (see the module docstring).
+    barycentrically with Fractions, on the culled triangles.
     """
-    meets_interior = False
-    witness = None
     features: Set[tuple] = set()
-
-    def note(i, feat, point):
-        nonlocal meets_interior, witness
-        df = _disk_feature(fan, i, feat)
+    witness = None
+    for df, interior, x in _contacts(fan, seg, cull=True):
         features.add(df)
-        if fan.feature_is_interior(df):
-            meets_interior = True
-            if witness is None:
-                witness = point
-
-    table = _table(fan)
-    a, b = seg.a.coords(), seg.b.coords()
-    d = _sub(b, a)
-    ia, ib = _scaled((_sub(a, table.apex), _sub(b, table.apex)))
-    for i in table.cut(_cross(ia, ib)):
-        tri, n = table.triangles[i], table.normals[i]
-        # The heights of a and b over the triangle's plane, both scaled by
-        # the same positive factor.
-        h0, h1 = _dot(ia, n), _dot(ib, n)
-        if h0 == 0 and h1 == 0:
-            # Coplanar: clip the parameter interval by barycentric positivity.
-            lo, hi = Fraction(0), Fraction(1)
-            ok = True
-            wa = _tri_barycentric(tri, a)
-            wb = _tri_barycentric(tri, b)
-            for corner in range(3):
-                fa, fb = wa[corner], wb[corner]
-                if fa < 0 and fb < 0:
-                    ok = False
-                    break
-                if fa >= 0 and fb >= 0:
-                    continue
-                tstar = Fraction(fa, fa - fb)
-                if fa < 0:
-                    lo = max(lo, tstar)
-                else:
-                    hi = min(hi, tstar)
-            if not ok or lo > hi:
-                continue
-            if lo == hi:
-                x = _along(a, lo, d)
-                feat = _bary_feature(*_tri_barycentric(tri, x))
-                if feat is not None:
-                    note(i, feat, x)
-                continue
-            xm = _along(a, (lo + hi) / 2, d)
-            feat_mid = _bary_feature(*_tri_barycentric(tri, xm))
-            for tend in (lo, hi):
-                x = _along(a, tend, d)
-                feat = _bary_feature(*_tri_barycentric(tri, x))
-                if feat is not None:
-                    note(i, feat, x)
-            if feat_mid == ("interior",):
-                note(i, ("interior",), xm)
-            elif feat_mid is not None and feat_mid[0] == "edge":
-                note(i, feat_mid, xm)
-            continue
-        if h0 == 0 or h1 == 0:
-            x = a if h0 == 0 else b
-            feat = _bary_feature(*_tri_barycentric(tri, x))
-            if feat is not None:
-                note(i, feat, x)
-            continue
-        if (h0 > 0) == (h1 > 0):
-            continue
-        x = _along(a, Fraction(h0, h0 - h1), d)
-        feat = _bary_feature(*_tri_barycentric(tri, x))
-        if feat is not None:
-            note(i, feat, x)
-    return meets_interior, features, None if witness is None else ExactPoint(*witness)
+        if interior and witness is None:
+            witness = x
+    return witness is not None, features, None if witness is None else ExactPoint(*witness)
 
 
 def fan_meets_interior(fan: FanDisk, seg: Segment) -> bool:
-    """Early-exit interior test through the independent route."""
-    table = _table(fan)
-    a, b = seg.a.coords(), seg.b.coords()
-    d = _sub(b, a)
-    ia, ib = _scaled((_sub(a, table.apex), _sub(b, table.apex)))
-    for i, n in enumerate(table.normals):
-        h0, h1 = _dot(ia, n), _dot(ib, n)
-        if h0 == 0 and h1 == 0:
-            meets, _f, _w = fan_contact_features(fan, seg)
-            return meets
-        if h0 == 0 or h1 == 0:
-            x = a if h0 == 0 else b
-        elif (h0 > 0) == (h1 > 0):
-            continue
-        else:
-            x = _along(a, Fraction(h0, h0 - h1), d)
-        feat = _bary_feature(*_tri_barycentric(table.triangles[i], x))
-        if feat is not None and fan.feature_is_interior(_disk_feature(fan, i, feat)):
-            return True
-    return False
+    """Early-exit interior test through the independent route, over every
+    triangle (see the module docstring)."""
+    return any(interior for _df, interior, _x in _contacts(fan, seg, cull=False))
 
 
 def panel_check_bruteforce(d: FanDisk, embedding, cycle) -> Tuple[str, Optional[tuple]]:

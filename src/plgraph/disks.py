@@ -20,6 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
     BoundaryMismatchError,
+    ConfigError,
     DegenerateGeometryError,
     FanConstructionError,
     PatchConstructionError,
@@ -369,12 +370,19 @@ class FanDisk:
 
     @classmethod
     def from_jsonable(cls, obj: dict) -> "FanDisk":
-        from .jsonio import point_from_json
+        from .jsonio import bool_from_json, point_from_json
 
+        if not isinstance(obj, dict):
+            raise ConfigError("fan document must be a JSON object", "fan")
+        for key in ("apex", "rim"):
+            if key not in obj:
+                raise ConfigError("missing required field", key)
+        if not isinstance(obj["rim"], list):
+            raise ConfigError("expected a list of points", "rim")
         return cls(
-            point_from_json(obj["apex"]),
-            [point_from_json(p) for p in obj["rim"]],
-            closed=bool(obj.get("closed", False)),
+            point_from_json(obj["apex"], "apex"),
+            [point_from_json(p, f"rim[{k}]") for k, p in enumerate(obj["rim"])],
+            closed=bool_from_json(obj.get("closed", False), "closed"),
         )
 
 

@@ -196,9 +196,6 @@ class Segment:
         self.a = a
         self.b = b
 
-    def point_at(self, t: Fraction) -> ExactPoint:
-        return self.a + (self.b - self.a).scale(t)
-
     def reversed(self) -> "Segment":
         return Segment(self.b, self.a)
 
@@ -432,39 +429,19 @@ def _locate_in_plane(pt: ExactPoint, tri: Triangle) -> Optional[Feature]:
 
 
 def _coplanar_segment_triangle(s: Segment, tri: Triangle) -> list:
-    """Contacts of a segment lying in the triangle's plane (exact clip)."""
+    """Contacts of a segment lying in the triangle's plane: the clipped
+    segment, a point located on the triangle or a piece of an edge or a
+    chord."""
+    pts = _clip_polygon_in_plane([s.a, s.b], tri)
+    if len(pts) < 2:
+        return [Contact("point", _locate_in_plane(p, tri), point=p) for p in pts]
     v = tri.vertices
     u = s.b - s.a
-    lo, hi = Fraction(0), Fraction(1)
-    for k in range(3):
-        h0 = tri.edge_side(k, s.a)
-        h1 = tri.edge_side(k, s.b)
-        if h0 < 0 and h1 < 0:
-            return []
-        if h0 >= 0 and h1 >= 0:
-            continue
-        tstar = h0 / (h0 - h1)
-        if h0 < 0:
-            lo = max(lo, tstar)
-        else:
-            hi = min(hi, tstar)
-        if lo > hi:
-            return []
-    if lo > hi:
-        return []
-    if lo == hi:
-        pt = s.point_at(lo)
-        feat = _locate_in_plane(pt, tri)
-        assert feat is not None
-        return [Contact("point", feat, point=pt)]
-    p1 = s.point_at(lo)
-    p2 = s.point_at(hi)
-    # Collinear with an edge line?
     for k in range(3):
         e = v[(k + 1) % 3] - v[k]
-        if u.cross(e).is_zero() and collinear(v[k], v[(k + 1) % 3], p1):
-            return [Contact("segment", ("edge", k), seg=(p1, p2))]
-    return [Contact("segment", ("chord",), seg=(p1, p2))]
+        if u.cross(e).is_zero() and collinear(v[k], v[(k + 1) % 3], pts[0]):
+            return [Contact("segment", ("edge", k), seg=tuple(pts))]
+    return [Contact("segment", ("chord",), seg=tuple(pts))]
 
 
 def segment_triangle_contacts(s: Segment, tri: Triangle) -> list:
@@ -532,7 +509,11 @@ def segment_triangle_classify(s: Segment, tri: Triangle) -> SegTriResult:
 # ---------------------------------------------------------------------------
 
 def _clip_polygon_in_plane(poly, tri: Triangle):
-    """Clip a convex in-plane polygon by the triangle's three half-planes."""
+    """Clip in-plane points by the triangle's three half-planes: the
+    vertices of a convex polygon (another triangle), or the one or two ends
+    of a segment (a segment in the plane, or a triangle's section by it).
+    The points that survive keep their order, so a segment comes back as
+    the ends of its clipped piece, still from its a end toward its b end."""
     pts = list(poly)
     for k in range(3):
         if not pts:
@@ -565,41 +546,23 @@ def triangle_triangle_intersection(t1: Triangle, t2: Triangle):
     s2 = [orient3d(t1.p, t1.q, t1.r, x) for x in t2.vertices]
     if all(s > 0 for s in s2) or all(s < 0 for s in s2):
         return ("empty",)
+    verts = t2.vertices
     if s2 == [0, 0, 0]:
         # Coplanar: clip t2 against t1 within the shared plane.
-        pts = _clip_polygon_in_plane(list(t2.vertices), t1)
-        if not pts:
-            return ("empty",)
-        if len(pts) == 1:
-            return ("point", pts[0])
-        if len(pts) == 2:
-            return ("segment", pts[0], pts[1])
-        # Check for positive area (points might be collinear after clipping).
-        base = pts[0]
-        for i in range(1, len(pts) - 1):
-            if not collinear(base, pts[i], pts[i + 1]):
-                return ("polygon", pts)
-        return ("segment", pts[0], pts[-1])
-    # Section of t2 by t1's plane: a point or a segment.
-    verts = list(t2.vertices)
-    section = [verts[k] for k in range(3) if s2[k] == 0]
-    for k in range(3):
-        a, b = verts[k], verts[(k + 1) % 3]
-        sa, sb = s2[k], s2[(k + 1) % 3]
-        if sa * sb < 0:
-            section.append(plane_crossing(t1, a, b))
-    section = list(dict.fromkeys(section))
-    if not section:
+        poly = list(verts)
+    else:
+        # Clip t2's section by t1's plane, a point or a segment.
+        poly = [verts[k] for k in range(3) if s2[k] == 0]
+        poly += [plane_crossing(t1, verts[k], verts[(k + 1) % 3])
+                 for k in range(3) if s2[k] * s2[(k + 1) % 3] < 0]
+    pts = _clip_polygon_in_plane(poly, t1)
+    if not pts:
         return ("empty",)
-    if len(section) == 1:
-        feat = _locate_in_plane(section[0], t1)
-        return ("point", section[0]) if feat is not None else ("empty",)
-    # The section is a segment in t1's plane; clip it by t1.
-    seg = Segment(section[0], section[1])
-    contacts = _coplanar_segment_triangle(seg, t1)
-    if not contacts:
-        return ("empty",)
-    c = contacts[0]
-    if c.kind == "point":
-        return ("point", c.point)
-    return ("segment", c.seg[0], c.seg[1])
+    if len(pts) == 1:
+        return ("point", pts[0])
+    # Check for positive area (points might be collinear after clipping).
+    base = pts[0]
+    for i in range(1, len(pts) - 1):
+        if not collinear(base, pts[i], pts[i + 1]):
+            return ("polygon", pts)
+    return ("segment", pts[0], pts[-1])

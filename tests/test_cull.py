@@ -180,10 +180,12 @@ def full_contact_features(fan, seg):
 
 
 def assert_both_routes_match(fan, seg):
+    """Compare both routes with the full loops; return the interior answer."""
     assert fan.classify_segment(seg) == full_classify_segment(fan, seg), seg
     full = full_contact_features(fan, seg)
     assert fan_contact_features(fan, seg) == full, seg
     assert fan_meets_interior(fan, seg) == full[0], seg
+    return full[0]
 
 
 def scan_segments(scene, samples):
@@ -294,7 +296,7 @@ ALL_KINDS = {
 
 @pytest.mark.parametrize("closed", [False, True])
 def test_lattice_fans_match_full_loop(closed):
-    kinds = set()
+    kinds, coplanar_answers = set(), set()
     fans = 0
     for seed in range(500):
         rng = random.Random(seed)
@@ -305,10 +307,15 @@ def test_lattice_fans_match_full_loop(closed):
             continue
         fans += 1
         for seg in lattice_segments(rng, fan):
-            assert_both_routes_match(fan, seg)
-            kinds |= degenerate_kinds(fan, seg)
+            meets = assert_both_routes_match(fan, seg)
+            seg_kinds = degenerate_kinds(fan, seg)
+            kinds |= seg_kinds
+            if "coplanar with a triangle" in seg_kinds:
+                coplanar_answers.add(meets)
     assert fans >= 100
     assert kinds == ALL_KINDS
+    # fan_meets_interior solves a coplanar triangle itself, and answers both ways.
+    assert coplanar_answers == {False, True}
 
 
 def rational_lattice(rng, size=12):
@@ -320,7 +327,7 @@ def rational_lattice(rng, size=12):
 
 @pytest.mark.parametrize("closed", [False, True])
 def test_rational_lattice_fans_match_full_loop(closed):
-    kinds = set()
+    kinds, coplanar_answers = set(), set()
     fans = 0
     denominators = set()
     for seed in range(400):
@@ -334,11 +341,16 @@ def test_rational_lattice_fans_match_full_loop(closed):
         fans += 1
         denominators |= {c.denominator for p in [apex, *rim] for c in p.coords()}
         for seg in lattice_segments(rng, fan, lattice):
-            assert_both_routes_match(fan, seg)
-            kinds |= degenerate_kinds(fan, seg)
+            meets = assert_both_routes_match(fan, seg)
+            seg_kinds = degenerate_kinds(fan, seg)
+            kinds |= seg_kinds
+            if "coplanar with a triangle" in seg_kinds:
+                coplanar_answers.add(meets)
     assert fans >= 100
     assert denominators == set(range(1, 8))
     assert kinds == ALL_KINDS
+    # fan_meets_interior solves a coplanar triangle itself, and answers both ways.
+    assert coplanar_answers == {False, True}
 
 
 def test_table_cache_follows_each_fan():

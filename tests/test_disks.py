@@ -15,7 +15,7 @@ from plgraph.disks import (
     disk_disk_classify,
     panel_check,
 )
-from plgraph.errors import BoundaryMismatchError, FanConstructionError
+from plgraph.errors import BoundaryMismatchError, ConfigError, FanConstructionError
 from plgraph.exactgeom import (
     ExactPoint,
     Segment,
@@ -260,6 +260,24 @@ class TestDiskSegment:
         d = cone(O, [sphere_point(35 + 11 * k, 30 * k) for k in range(5)])
         back = FanDisk.from_jsonable(d.to_jsonable())
         assert back.apex == d.apex and back.rim == d.rim and back.closed == d.closed
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda doc: [doc], "fan"),
+        (lambda doc: {"rim": doc["rim"]}, "apex"),
+        (lambda doc: {"apex": doc["apex"]}, "rim"),
+        (lambda doc: {**doc, "rim": 5}, "rim"),
+        (lambda doc: {**doc, "apex": doc["apex"][:2]}, "apex"),
+        (lambda doc: {**doc, "rim": doc["rim"][:1] + [[[1, 2]]]}, "rim[1]"),
+        (lambda doc: {**doc, "closed": "false"}, "closed"),
+        (lambda doc: {**doc, "closed": 1}, "closed"),
+        (lambda doc: {**doc, "closed": None}, "closed"),
+    ], ids=["not-an-object", "no-apex", "no-rim", "rim-not-a-list", "bad-apex",
+            "bad-rim-point", "closed-string", "closed-int", "closed-null"])
+    def test_json_errors_name_the_field(self, edit, field):
+        doc = cone(O, [sphere_point(35 + 11 * k, 30 * k) for k in range(5)]).to_jsonable()
+        with pytest.raises(ConfigError) as err:
+            FanDisk.from_jsonable(edit(doc))
+        assert err.value.field == field
 
     @pytest.mark.parametrize("closed", [False, True])
     def test_degenerate_configurations_match_independent_route(self, closed):

@@ -8,13 +8,16 @@ from math import gcd
 import pytest
 
 from plgraph.exactgeom import (
+    Contact,
     ExactPoint,
     Segment,
     Triangle,
+    _locate_in_plane,
     collinear,
     orient3d,
     segment_segment_classify,
     segment_triangle_classify,
+    segment_triangle_contacts,
     triangle_triangle_intersection,
 )
 from plgraph.errors import DegenerateGeometryError
@@ -348,6 +351,97 @@ class TestSegmentTriangle:
         first = segment_triangle_classify(s, TRI)
         second = segment_triangle_classify(s, TRI)
         assert first == second
+
+
+def parametric_coplanar_contacts(s, tri):
+    """Oracle for the kernel's in-plane clip: the segment clipped by one
+    parameter interval against the three edge lines."""
+    point_at = lambda t: s.a + (s.b - s.a).scale(t)
+    v = tri.vertices
+    u = s.b - s.a
+    lo, hi = Fraction(0), Fraction(1)
+    for k in range(3):
+        h0 = tri.edge_side(k, s.a)
+        h1 = tri.edge_side(k, s.b)
+        if h0 < 0 and h1 < 0:
+            return []
+        if h0 >= 0 and h1 >= 0:
+            continue
+        tstar = h0 / (h0 - h1)
+        if h0 < 0:
+            lo = max(lo, tstar)
+        else:
+            hi = min(hi, tstar)
+        if lo > hi:
+            return []
+    if lo > hi:
+        return []
+    if lo == hi:
+        pt = point_at(lo)
+        feat = _locate_in_plane(pt, tri)
+        assert feat is not None
+        return [Contact("point", feat, point=pt)]
+    p1 = point_at(lo)
+    p2 = point_at(hi)
+    # Collinear with an edge line?
+    for k in range(3):
+        e = v[(k + 1) % 3] - v[k]
+        if u.cross(e).is_zero() and collinear(v[k], v[(k + 1) % 3], p1):
+            return [Contact("segment", ("edge", k), seg=(p1, p2))]
+    return [Contact("segment", ("chord",), seg=(p1, p2))]
+
+
+def planar_cases(A, B, C):
+    """In-plane segments against triangle ABC (as plane coordinates), each
+    with the contact kind and feature the clip must give."""
+    G = tuple(Fraction(a + b + c, 3) for a, b, c in zip(A, B, C))
+    at = lambda p, q, t: tuple(x + t * (y - x) for x, y in zip(p, q))
+    mab, mac = at(A, B, Fraction(1, 2)), at(A, C, Fraction(1, 2))
+    return {
+        "through a vertex": (at(G, A, 2), G, "segment", ("chord",)),
+        "along an edge": (at(A, B, -1), at(A, B, Fraction(1, 2)), "segment", ("edge", 0)),
+        "crossing two edges": (at(mab, mac, -1), at(mab, mac, 2), "segment", ("chord",)),
+        "inside": (G, at(G, A, Fraction(1, 2)), "segment", ("chord",)),
+        "touching at one vertex": (A, at(G, A, 2), "point", ("vertex", 0)),
+        "outside": (at(G, A, 3), at(G, B, 3), None, None),
+    }
+
+
+PLANES = {
+    "flat": lambda p: P(p[0], p[1], 0),
+    "tilted": lambda p: P(Fraction(1, 7) + p[0] - Fraction(p[1], 4),
+                          Fraction(-2, 5) + Fraction(p[0], 3) + p[1],
+                          3 + Fraction(p[0], 2) + Fraction(2 * p[1], 3)),
+}
+
+
+@pytest.mark.parametrize("plane", sorted(PLANES))
+def test_in_plane_clip_matches_parametric_clip(plane):
+    """Segments in a lattice triangle's plane get the same contacts, kind,
+    feature, point and endpoint order, from the polygon clip as from the
+    parametric one, in both directions; each planted case gives its
+    contact."""
+    rng = random.Random(808)
+    lift = PLANES[plane]
+    lattice = [(x, y) for x in range(-3, 4) for y in range(-3, 4)]
+    seen = set()
+    for _ in range(80):
+        A, B, C = rng.sample(lattice, 3)
+        if (B[0] - A[0]) * (C[1] - A[1]) == (B[1] - A[1]) * (C[0] - A[0]):
+            continue
+        tri = Triangle(lift(A), lift(B), lift(C))
+        cases = planar_cases(A, B, C)
+        segs = [(a, b) for a, b, _kind, _feat in cases.values()]
+        segs += [tuple(rng.sample(lattice, 2)) for _ in range(6)]
+        for a, b in segs:
+            for s in (Segment(lift(a), lift(b)), Segment(lift(b), lift(a))):
+                assert segment_triangle_contacts(s, tri) == parametric_coplanar_contacts(s, tri), s
+        for name, (a, b, kind, feat) in cases.items():
+            got = segment_triangle_contacts(Segment(lift(a), lift(b)), tri)
+            assert [(c.kind, c.feature) for c in got] == ([(kind, feat)] if kind else []), name
+            seen.add(name)
+    assert seen == {"through a vertex", "along an edge", "crossing two edges", "inside",
+                    "touching at one vertex", "outside"}
 
 
 def _brute_boundary_contacts(t1, t2):

@@ -2,10 +2,11 @@
 
 An AST walk over each module that computes a predicate or a verdict finds
 every use of the name ``float``, every float or complex literal, and every
-``math`` name other than ``gcd`` and ``lcm``.  Two modules are exempt:
-``scene.py``, whose float constructors (``default_paper_config``,
-``icosphere_directions``) round sines and cosines to rationals before any
-predicate sees them, and ``meshio.py``, which formats OBJ output.
+``math`` name other than ``gcd`` and ``lcm``.  In ``scene.py`` the walk
+skips only the float constructors, which round sines and cosines to
+rationals before any predicate sees them; the rest of it, ``GridSpec``,
+``SceneConfig`` and ``build_scene`` included, is checked.  ``meshio.py``,
+which formats OBJ output, is exempt.
 """
 
 import ast
@@ -14,18 +15,26 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "plgraph"
-EXACT_MODULES = ("exactgeom", "disks", "graphs", "linking", "crosscheck", "verify")
+EXACT_MODULES = ("exactgeom", "disks", "graphs", "linking", "crosscheck", "verify", "scene")
+# The module-level functions whose bodies may use floats, per module.
+FLOAT_CONSTRUCTORS = {
+    "scene": ("rationalize", "rationalize_toward_zero", "sphere_point",
+              "icosphere_directions", "default_paper_config", "control_short_arc_config"),
+}
 MATH_ALLOWED = {"gcd", "lcm"}
 
 
-def float_uses(source: str) -> list:
+def float_uses(source: str, allowed=()) -> list:
     """``(line, what)`` for each float name, float literal or disallowed
-    ``math`` name in the source."""
+    ``math`` name in the source, outside the module-level functions named in
+    ``allowed`` (and the functions nested in them)."""
     tree = ast.parse(source)
     math_names = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                   for a in node.names if a.name == "math"}
+    checked = [top for top in tree.body
+               if not (isinstance(top, ast.FunctionDef) and top.name in allowed)]
     found = []
-    for node in ast.walk(tree):
+    for node in (node for top in checked for node in ast.walk(top)):
         if isinstance(node, ast.Name) and node.id == "float":
             found.append((node.lineno, "float"))
         elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
@@ -41,7 +50,8 @@ def float_uses(source: str) -> list:
 
 @pytest.mark.parametrize("module", EXACT_MODULES)
 def test_exact_module_uses_no_float(module):
-    assert float_uses((SRC / f"{module}.py").read_text(encoding="utf-8")) == []
+    source = (SRC / f"{module}.py").read_text(encoding="utf-8")
+    assert float_uses(source, FLOAT_CONSTRUCTORS.get(module, ())) == []
 
 
 def test_the_walk_finds_each_kind_of_use():
@@ -55,3 +65,13 @@ def test_the_walk_finds_each_kind_of_use():
     )
     assert float_uses(source) == [(2, "math.sqrt"), (3, "float"), (4, "0.5"),
                                   (5, "math.pi"), (6, "1j")]
+    allowed = (
+        "def rounded(x: float):\n"
+        "    def unit(v):\n"
+        "        return v / 2.0\n"
+        "    return unit(x)\n"
+        "def exact(x):\n"
+        "    return x * 0.5\n"
+    )
+    assert float_uses(allowed, ("rounded",)) == [(6, "0.5")]
+    assert float_uses(allowed) == [(1, "float"), (3, "2.0"), (6, "0.5")]
