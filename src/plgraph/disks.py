@@ -29,13 +29,12 @@ from .exactgeom import (
     ExactPoint,
     Segment,
     Triangle,
+    _contacts_from_signs,
     _locate_in_plane,
     collinear,
-    edge_sign_feature,
     icross,
     idot,
     orient3d,
-    plane_crossing,
     segment_triangle_contacts,
     sign,
     triangle_triangle_intersection,
@@ -293,58 +292,42 @@ class FanDisk:
         the triangle is skipped: it could contribute no contact.  When N is
         zero (apex, a and b collinear, an endpoint at the apex included) the
         row is all zeros and every triangle is visited, as in the full loop.
-        The visited triangles keep their order, so the result is the same.
+
+        Each visited triangle is decided by the kernel's
+        ``_contacts_from_signs``: the plane sides of a and b are integer dot
+        products with the triangle's cached normal, and the edge signs of a
+        proper crossing are the two spoke entries of the row and one
+        ``orient3d`` against the rim chord.  An overlap's endpoints may rest
+        on finer features (edges or vertices); those are enumerated too.
         """
         entries = {}
 
-        def add(i, tri_feat, point=None, seg=None, lazy_cross=None):
+        def add(i, tri_feat, point=None, seg=None):
             dfeat = self._map_feature(i, tri_feat)
-            if dfeat in entries:
-                return
-            interior = self.feature_is_interior(dfeat) or tri_feat == ("chord",)
-            entries[dfeat] = (interior, i, point, seg, lazy_cross)
+            if dfeat not in entries:
+                interior = self.feature_is_interior(dfeat) or tri_feat == ("chord",)
+                entries[dfeat] = (interior, point, seg)
 
         va = (s.a - self.apex).irep
         vb = (s.b - self.apex).irep
         row = _side_rows([icross(va, vb)], self._idirs)[0]
         live = [i for i in range(len(self.triangles)) if row[i] == 1 or row[i] != row[i + 1]]
-        slow: List[int] = []
-        m = len(self.rim)
         for i in live:
-            n = self._inormals[i]
-            sa, sb = sign(idot(n, va)), sign(idot(n, vb))
-            if sa == 0 or sb == 0:
-                slow.append(i)
-                continue
-            if sa == sb:
-                continue
-            j = (i + 1) % m
-            e1 = row[i] - 1                                    # edge apex->rim[i]
-            e2 = orient3d(s.a, s.b, self.rim[i], self.rim[j])  # rim chord
-            e3 = 1 - row[i + 1]                                # edge rim[j]->apex
-            want = -sa
-            if (e1 != 0 and e1 != want) or (e2 != 0 and e2 != want) or (e3 != 0 and e3 != want):
-                continue
-            add(i, edge_sign_feature(e1, e2, e3), lazy_cross=i)
-        for i in slow:
-            for c in segment_triangle_contacts(s, self.triangles[i]):
-                if c.kind == "point":
-                    add(i, c.feature, point=c.point)
-                else:
-                    add(i, c.feature, seg=c.seg)
-                    # An overlap's endpoints may rest on finer features
-                    # (edges or vertices); enumerate those too.
-                    for endpoint in c.seg:
-                        efeat = _locate_in_plane(endpoint, self.triangles[i])
-                        if efeat is not None and efeat != c.feature:
-                            add(i, efeat, point=endpoint)
+            n, tri = self._inormals[i], self.triangles[i]
+            edges = lambda: (row[i] - 1, orient3d(s.a, s.b, tri.q, tri.r), 1 - row[i + 1])
+            for c in _contacts_from_signs(s, tri, sign(idot(n, va)), sign(idot(n, vb)), edges):
+                add(i, c.feature, point=c.point, seg=c.seg)
+                if c.kind != "segment":
+                    continue
+                for endpoint in c.seg:
+                    efeat = _locate_in_plane(endpoint, tri)
+                    if efeat is not None and efeat != c.feature:
+                        add(i, efeat, point=endpoint)
         contacts = []
         witness = None
         any_interior = False
         for dfeat in sorted(entries, key=_feature_key):
-            interior, i, point, seg, lazy = entries[dfeat]
-            if point is None and seg is None and lazy is not None:
-                point = plane_crossing(self.triangles[lazy], s.a, s.b)
+            interior, point, seg = entries[dfeat]
             c = DiskContact(dfeat, point=point, seg=seg)
             contacts.append(c)
             if interior:

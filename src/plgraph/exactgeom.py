@@ -17,8 +17,8 @@ One touch rule serves polylines, polygons and graph embeddings
 (``segment_contact``): each segment names its two endpoints (point indices,
 or vertex ids), two segments of one set may meet only at the endpoint they
 both name, and segments of two sets may not meet at all.  Bounding boxes are
-compared as integers on one common denominator, and a pair that names a
-common endpoint is decided by an integer ray test from that endpoint.
+rounded outward to one fixed grid and compared as integers, and a pair that
+names a common endpoint is decided by an integer ray test from that endpoint.
 """
 
 from __future__ import annotations
@@ -297,17 +297,20 @@ def segment_segment_classify(s: Segment, t: Segment) -> SegSegResult:
     return SegSegResult("endpoint-touch", point=pt)
 
 
+# Segment boxes are rounded outward to multiples of 1 / _BOX_GRID.
+_BOX_GRID = 1 << 32
+
+
 def boxed_segment(seg: Segment, ends: tuple) -> tuple:
     """``(seg, ends, box)``: the segment, the names of its endpoints ``a`` and
-    ``b``, and its exact bounding box as integers ``(d, x_lo, x_hi, y_lo,
-    y_hi, z_lo, z_hi)`` over the common denominator ``d`` of its endpoints."""
+    ``b``, and its bounding box rounded outward to the grid of multiples of
+    ``1 / _BOX_GRID``, as the integers ``(x_lo, x_hi, y_lo, y_hi, z_lo,
+    z_hi)`` in grid units.  The rounded box contains the exact one."""
     A, B = seg.a.irep, seg.b.irep
-    d = lcm(A[3], B[3])
-    ka, kb = d // A[3], d // B[3]
-    box = [d]
+    box = []
     for k in range(3):
-        u, w = A[k] * ka, B[k] * kb
-        box += (u, w) if u <= w else (w, u)
+        u, w = A[k] * _BOX_GRID, B[k] * _BOX_GRID
+        box += (min(u // A[3], w // B[3]), max(-(-u // A[3]), -(-w // B[3])))
     return seg, ends, tuple(box)
 
 
@@ -319,14 +322,6 @@ def polyline_segments(points: Sequence[ExactPoint], closed: bool = False) -> lis
             for i in range(n if closed else n - 1)]
 
 
-def _common_boxes(*sets: Sequence[tuple]) -> list:
-    """Each set's segment boxes as integer sextuples over one denominator,
-    the lcm of the boxes' own: comparing them compares the exact boxes."""
-    den = lcm(*(box[0] for segs in sets for _, _, box in segs))
-    return [[tuple(c * (den // box[0]) for c in box[1:]) for _, _, box in segs]
-            for segs in sets]
-
-
 def segment_contact(segs: Sequence[tuple], others: Optional[Sequence[tuple]] = None
                     ) -> Optional[Tuple[int, int, SegSegResult]]:
     """The first pair of boxed segments that meet where they must not.
@@ -335,20 +330,19 @@ def segment_contact(segs: Sequence[tuple], others: Optional[Sequence[tuple]] = N
     segments may meet only at the endpoint they both name; across two sets
     (segment i of ``segs``, j of ``others``), they may not meet at all.
     Pairs whose bounding boxes are apart are disjoint; the boxes are compared
-    as integers, put on the lcm of the call's box denominators.  A pair
-    whose boxes meet is decided exactly.  Both segments of a pair that names
-    a common endpoint p leave p (so their boxes meet), and they meet beyond
-    it exactly when their other endpoints lie on the same ray from p: an
-    integer test on the differences, with classification run only to build
-    the witness.  Any other pair is classified.  Returns ``(i, j, result)``
-    for the first offender in (i, j) order, or None.
+    as stored, rounded outward to one fixed grid, so no meeting pair is
+    missed.  A pair whose boxes meet is decided exactly.  Both segments of a
+    pair that names a common endpoint p leave p (so their boxes meet), and
+    they meet beyond it exactly when their other endpoints lie on the same
+    ray from p: an integer test on the differences, with classification run
+    only to build the witness.  Any other pair is classified.  Returns
+    ``(i, j, result)`` for the first offender in (i, j) order, or None.
     """
     same = others is None
     if same:
         others = segs
-    ibox, jbox = _common_boxes(segs, others)
-    for i, (s, (sa, sb), _) in enumerate(segs):
-        x0, x1, y0, y1, z0, z1 = ibox[i]
+    jbox = [box for _, _, box in others]
+    for i, (s, (sa, sb), (x0, x1, y0, y1, z0, z1)) in enumerate(segs):
         lo = i + 1 if same else 0
         near = [j for j, b in enumerate(jbox[lo:], lo)
                 if b[0] <= x1 and x0 <= b[1] and b[2] <= y1 and y0 <= b[3]
@@ -444,14 +438,18 @@ def _coplanar_segment_triangle(s: Segment, tri: Triangle) -> list:
     return [Contact("segment", ("chord",), seg=tuple(pts))]
 
 
-def segment_triangle_contacts(s: Segment, tri: Triangle) -> list:
-    """All contacts of a segment with a closed triangle, exactly.
+def _contacts_from_signs(s: Segment, tri: Triangle, da: int, db: int, edge_signs) -> list:
+    """The contacts of segment ab with a closed triangle, from the signs
+    ``da`` and ``db`` of a and b against the triangle's plane (those of
+    ``orient3d(p, q, r, a)`` and ``orient3d(p, q, r, b)``).
 
-    The result is a list of :class:`Contact`; it is empty iff the segment and
-    the triangle are disjoint.
+    A segment in the plane is clipped there, and an endpoint in the plane is
+    located on the triangle.  Only when a and b lie strictly on opposite sides
+    is ``edge_signs()`` called; it returns the signs of
+    ``orient3d(a, b, p, q)``, ``orient3d(a, b, q, r)`` and
+    ``orient3d(a, b, r, p)``, and the segment meets the closed triangle
+    exactly when each nonzero one is ``-da``.
     """
-    da = orient3d(tri.p, tri.q, tri.r, s.a)
-    db = orient3d(tri.p, tri.q, tri.r, s.b)
     if da == 0 and db == 0:
         return _coplanar_segment_triangle(s, tri)
     if da == 0 or db == 0:
@@ -460,16 +458,26 @@ def segment_triangle_contacts(s: Segment, tri: Triangle) -> list:
         return [Contact("point", feat, point=pt)] if feat is not None else []
     if da == db:
         return []
-    # Proper plane crossing.
-    e1 = orient3d(s.a, s.b, tri.p, tri.q)
-    e2 = orient3d(s.a, s.b, tri.q, tri.r)
-    e3 = orient3d(s.a, s.b, tri.r, tri.p)
-    want = -da
-    for e in (e1, e2, e3):
-        if e != 0 and e != want:
+    edges = edge_signs()
+    for x in edges:
+        if x != 0 and x != -da:
             return []
-    pt = plane_crossing(tri, s.a, s.b)
-    return [Contact("point", edge_sign_feature(e1, e2, e3), point=pt)]
+    return [Contact("point", edge_sign_feature(*edges), point=plane_crossing(tri, s.a, s.b))]
+
+
+def segment_triangle_contacts(s: Segment, tri: Triangle) -> list:
+    """All contacts of a segment with a closed triangle, exactly.
+
+    The result is a list of :class:`Contact`; it is empty iff the segment and
+    the triangle are disjoint.  Both plane sides and, for a proper crossing,
+    the three edge signs come from ``orient3d``; the decision is
+    :func:`_contacts_from_signs`, which the fan classifier also feeds from its
+    integer tables.
+    """
+    p, q, r = tri.vertices
+    return _contacts_from_signs(
+        s, tri, orient3d(p, q, r, s.a), orient3d(p, q, r, s.b),
+        lambda: (orient3d(s.a, s.b, p, q), orient3d(s.a, s.b, q, r), orient3d(s.a, s.b, r, p)))
 
 
 @dataclass(frozen=True)

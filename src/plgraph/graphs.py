@@ -145,14 +145,13 @@ def expand_to_psi(
     t,
     nx: Iterable[Vertex],
     ny: Iterable[Vertex],
-    x_id: Vertex = "x",
-    y_id: Vertex = "y",
 ) -> LinearEmbedding:
     """Split a contracted vertex back into two adjacent vertices.
 
-    The two new vertices are placed at ``pos(v) +/- t * n`` where ``n`` is the
-    (unnormalized, rational) normal of the fan's first triangle at its apex,
-    so they sit strictly on opposite sides of that triangle's plane.  Each
+    The two new vertices, ``"x"`` and ``"y"``, are placed at
+    ``pos(v) +/- t * n`` where ``n`` is the (unnormalized, rational) normal
+    of the fan's first triangle at its apex, so they sit strictly on
+    opposite sides of that triangle's plane.  Each
     former edge ``v-w`` is replaced by ``x-w``, ``y-w``, or both, according to
     the given neighbor sets, and the edge ``x-y`` is added.  The produced
     embedding is validated; an invalid result raises (callers retry with a
@@ -172,7 +171,7 @@ def expand_to_psi(
         raise GraphStructureError(
             f"neighbor split must cover exactly N(v): missing {missing}, extra {extra}"
         )
-    if x_id in contracted.graph.vertices or y_id in contracted.graph.vertices:
+    if "x" in contracted.graph.vertices or "y" in contracted.graph.vertices:
         raise GraphStructureError("split vertex ids collide with existing vertices")
     pos_v = contracted.position[v]
     if d.apex != pos_v:
@@ -181,14 +180,14 @@ def expand_to_psi(
     normal = (tri.q - tri.p).cross(tri.r - tri.p)
     x_pos = pos_v + normal.scale(t)
     y_pos = pos_v - normal.scale(t)
-    vertices = (contracted.graph.vertices - {v}) | {x_id, y_id}
+    vertices = (contracted.graph.vertices - {v}) | {"x", "y"}
     edges = [tuple(e) for e in contracted.graph.edges if v not in e]
-    edges.append((x_id, y_id))
-    edges += [(x_id, w) for w in nx]
-    edges += [(y_id, w) for w in ny]
+    edges.append(("x", "y"))
+    edges += [("x", w) for w in nx]
+    edges += [("y", w) for w in ny]
     position = {u: p for u, p in contracted.position.items() if u != v}
-    position[x_id] = x_pos
-    position[y_id] = y_pos
+    position["x"] = x_pos
+    position["y"] = y_pos
     out = LinearEmbedding(SpatialGraph(vertices, edges), position)
     res = validate_embedding(out)
     if not res.valid:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .disks import FanDisk, TriPatch, cone, disk_disk_classify
 from .errors import ConfigError, SceneInvariantViolation, SpliceMismatchError
@@ -47,28 +47,27 @@ MAX_GRID_SHELLS = 16
 MAX_N = 256
 
 
-def rationalize(x: float, denom: int = RATIONAL_DENOM) -> Fraction:
-    """Nearest rational with the given denominator (half-up on magnitude)."""
-    n = int(abs(x) * denom + 0.5)
-    return Fraction(-n if x < 0 else n, denom)
+def rationalize(x: float) -> Fraction:
+    """Nearest rational with denominator RATIONAL_DENOM (half-up on
+    magnitude)."""
+    n = int(abs(x) * RATIONAL_DENOM + 0.5)
+    return Fraction(-n if x < 0 else n, RATIONAL_DENOM)
 
 
-def rationalize_toward_zero(x: float, denom: int = RATIONAL_DENOM) -> Fraction:
-    n = math.floor(abs(x) * denom)
-    return Fraction(-n if x < 0 else n, denom)
+def rationalize_toward_zero(x: float) -> Fraction:
+    n = math.floor(abs(x) * RATIONAL_DENOM)
+    return Fraction(-n if x < 0 else n, RATIONAL_DENOM)
 
 
-def sphere_point(colat_deg: float, lon_deg: float, radius: Fraction = Fraction(1),
-                 center: Optional[ExactPoint] = None,
-                 denom: int = RATIONAL_DENOM) -> ExactPoint:
-    """A rational point within 1/denom of the sphere at the given angles."""
+def sphere_point(colat_deg: float, lon_deg: float) -> ExactPoint:
+    """A rational point within 1/RATIONAL_DENOM of the unit sphere about the
+    origin at the given angles."""
     th = math.radians(colat_deg)
     ph = math.radians(lon_deg)
     x = math.sin(th) * math.cos(ph)
     y = math.sin(th) * math.sin(ph)
     z = math.cos(th)
-    p = ExactPoint(*(rationalize(c, denom) * radius for c in (x, y, z)))
-    return p if center is None else center + p
+    return ExactPoint(*(rationalize(c) for c in (x, y, z)))
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +340,6 @@ class Scene:
     @property
     def b1(self) -> ExactPoint:
         return self.b_chain[0]
-
-    def anchor_rim_indices(self) -> Dict[str, int]:
-        """Rim indices of the three anchors on the panel fan."""
-        n = self.config.n
-        return {"a1": 0, "c": n, "b1": 2 * n}
 
     def to_jsonable(self) -> dict:
         """The built scene with its disks serialized (apex plus rim triples)."""

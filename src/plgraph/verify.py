@@ -159,13 +159,10 @@ def _recheck_with_discount(fan: FanDisk, anchor: ExactPoint, anchor_feature,
 
 
 def _anchor_data(scene: Scene):
-    idx = scene.anchor_rim_indices()
-    rim = scene.gamma_prime.rim
-    return (
-        (rim[idx["a1"]], ("rimvert", idx["a1"])),
-        (rim[idx["c"]], ("rimvert", idx["c"])),
-        (rim[idx["b1"]], ("rimvert", idx["b1"])),
-    )
+    """The three anchors a1, c and b1 with their rim-vertex features on the
+    panel fan: rim entries 0, n and 2 n."""
+    rim, n = scene.gamma_prime.rim, scene.config.n
+    return tuple((rim[k], ("rimvert", k)) for k in (0, n, 2 * n))
 
 
 def _evaluate_placement(scene: Scene, anchors, k: int, x: ExactPoint) -> Placement:
@@ -323,9 +320,9 @@ class EquatorReport:
         return out
 
 
-def upper_sample_points(scene: Scene, sample_count: int,
-                        frequency: int = 4) -> List[ExactPoint]:
-    """Deterministic rational near-sphere samples with z above the center.
+def upper_sample_points(scene: Scene, sample_count: int) -> List[ExactPoint]:
+    """Deterministic rational near-sphere samples with z above the center,
+    from the icosphere net of frequency 4, doubled until there are enough.
 
     ``sample_count`` must be at least 1 and at most :data:`MAX_SAMPLES`.
     """
@@ -333,8 +330,7 @@ def upper_sample_points(scene: Scene, sample_count: int,
         raise ConfigError("samples must be >= 1", "samples")
     if sample_count > MAX_SAMPLES:
         raise ConfigError(f"samples must be <= {MAX_SAMPLES}", "samples")
-    out = []
-    f = frequency
+    f = 4
     while True:
         dirs = icosphere_directions(f)
         out = []

@@ -15,7 +15,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "plgraph"
 IMPORTS_ALLOWED = {"FanDisk", "ExactPoint", "Segment"}
 FAST_ROUTE_NAMES = {"classify_segment", "orient3d", "icross", "idot", "sign",
-                    "edge_sign_feature"}
+                    "edge_sign_feature", "segment_triangle_contacts", "plane_crossing",
+                    "locate_point", "edge_side", "_contacts_from_signs"}
 
 
 def dependence(source: str) -> list:
@@ -56,9 +57,11 @@ def test_the_walk_finds_each_kind_of_dependence():
         "def idot(u, v):\n"
         "    return exactgeom.icross(u, v)\n"
         "X, Y, Z, D = fan.apex.irep\n"
+        "c = exactgeom.segment_triangle_contacts(seg, tri) or fan.locate_point(p)\n"
     )
     assert dependence(source) == [
         (1, "import _side_rows"), (2, "import orient3d"), (2, "orient3d"),
         (3, "import plgraph.disks"), (4, "._idirs"), (5, "classify_segment"),
         (6, "sign"), (7, "idot"), (8, "icross"), (9, ".irep"),
+        (10, "locate_point"), (10, "segment_triangle_contacts"),
     ]

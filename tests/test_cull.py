@@ -6,7 +6,9 @@ plane(apex, a, b), and ``crosscheck`` takes its signs from a per-fan table of
 integers.  Each route is compared here with a full Fraction loop over every
 triangle, kept in this file: on every scan segment of the control scene and
 of a reduced default grid, and on seeded segments against integer and
-rational lattice fans with the degenerate cases planted.
+rational lattice fans with the degenerate cases planted.  On the integer
+lattice fans, rigid integer moves of the whole picture and a reversal of an
+open fan's rim are checked to move ``classify_segment``'s answer with it.
 """
 
 import gc
@@ -387,3 +389,73 @@ def test_table_cache_follows_each_fan():
         fan_a, lat_a = some_fan()
         check(fan_a, lattice_segments(rng, fan_a, lat_a))
         check(fan_b, segs_b)
+
+
+def moved_result(res, move):
+    """A classification with every point moved; the features stay."""
+    return DiskSegmentResult(
+        res.kind,
+        tuple(DiskContact(c.feature, point=c.point and move(c.point),
+                          seg=c.seg and tuple(move(p) for p in c.seg)) for c in res.contacts),
+        witness=res.witness and move(res.witness))
+
+
+def lattice_moves(rng):
+    """A seeded integer translation, axis permutation and sign flip."""
+    shift = P(*(rng.randint(-9, 9) for _ in range(3)))
+    perm = rng.sample(range(3), 3)
+    flip = rng.randrange(3)
+    return [
+        lambda p: p + shift,
+        lambda p: P(*(p.coords()[k] for k in perm)),
+        lambda p: P(*(-c if k == flip else c for k, c in enumerate(p.coords()))),
+    ]
+
+
+def seeded_lattice_fans(closed, seeds=150):
+    """``(seed, rng, apex, rim, fan)`` for each seed whose sample of lattice
+    points makes a valid fan."""
+    for seed in range(seeds):
+        rng = random.Random(seed)
+        apex, *rim = rng.sample(LATTICE, rng.randint(4, 7))
+        try:
+            fan = cone(apex, rim, closed=closed)
+        except FanConstructionError:
+            continue
+        yield seed, rng, apex, rim, fan
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_lattice_moves_carry_the_classification(closed):
+    fans = 0
+    for seed, rng, apex, rim, fan in seeded_lattice_fans(closed):
+        fans += 1
+        segs = lattice_segments(rng, fan)
+        for move in lattice_moves(rng):
+            moved = cone(move(apex), [move(p) for p in rim], closed=closed)
+            for seg in segs:
+                got = moved.classify_segment(Segment(move(seg.a), move(seg.b)))
+                assert got == moved_result(fan.classify_segment(seg), move), (seed, seg)
+    assert fans >= 50
+
+
+def reversed_feature(feature, m):
+    """The feature of an open fan on m rim points, seen on its reversed rim."""
+    if feature[0] in ("face", "rim"):
+        return (feature[0], m - 2 - feature[1])
+    if feature[0] in ("spoke", "rimvert"):
+        return (feature[0], m - 1 - feature[1])
+    return feature
+
+
+def test_open_fan_rim_reversal_maps_the_features():
+    fans = 0
+    for seed, rng, apex, rim, fan in seeded_lattice_fans(closed=False):
+        fans += 1
+        back, m = cone(apex, rim[::-1]), len(rim)
+        for seg in lattice_segments(rng, fan):
+            res, got = fan.classify_segment(seg), back.classify_segment(seg)
+            assert got.kind == res.kind, (seed, seg)
+            assert {c.feature: (c.point, c.seg) for c in got.contacts} == \
+                {reversed_feature(c.feature, m): (c.point, c.seg) for c in res.contacts}, (seed, seg)
+    assert fans >= 50

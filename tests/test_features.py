@@ -16,7 +16,9 @@ from plgraph.graphs import LinearEmbedding, SpatialGraph
 from plgraph.exactgeom import (
     ExactPoint,
     Segment,
+    _contacts_from_signs,
     _locate_in_plane,
+    orient3d,
     segment_triangle_contacts,
 )
 
@@ -118,3 +120,24 @@ def test_crosscheck_applies_no_point_operator(monkeypatch):
     for name in ("__add__", "__sub__", "scale", "cross", "dot"):
         monkeypatch.setattr(ExactPoint, name, disabled)
     assert run() == expected
+
+
+def test_edge_signs_are_asked_for_only_on_a_proper_crossing():
+    """The shared decision calls ``edge_signs`` only when the segment's ends
+    lie strictly on opposite sides of the plane: a segment in the plane, one
+    ending on it and one above it are decided without it."""
+    def refuse():
+        raise AssertionError("edge signs asked for")
+
+    above = Segment(P(1, 1, 1), P(5, 5, 2))
+    cases = COPLANAR + [SEGMENTS["end"](x) for x, *_ in TABLE] + [above]
+    kinds = set()
+    for seg in cases:
+        da, db = (orient3d(TRI.p, TRI.q, TRI.r, e) for e in (seg.a, seg.b))
+        kinds.add("coplanar" if da == db == 0 else "end in plane" if 0 in (da, db)
+                  else "same side" if da == db else "crossing")
+        assert _contacts_from_signs(seg, TRI, da, db, refuse) == \
+            segment_triangle_contacts(seg, TRI), seg
+    assert kinds == {"coplanar", "end in plane", "same side"}
+    with pytest.raises(AssertionError, match="edge signs asked for"):
+        _contacts_from_signs(SEGMENTS["cross"](P(2, 2, 0)), TRI, -1, 1, refuse)

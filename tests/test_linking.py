@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from plgraph import linking
 from plgraph.errors import (
     CurvesIntersectError,
     DegenerateGeometryError,
@@ -258,14 +259,14 @@ class TestConwayGordonSachs:
     K331 = [(u, w) for u in range(3) for w in range(3, 6)] + [(6, u) for u in range(6)]
 
     @staticmethod
-    def embeddings(edges, seed, count):
-        """``count`` seeded embeddings at integer points in [-50, 50]^3,
+    def embeddings(edges, seed, count, box=50):
+        """``count`` seeded embeddings at integer points in [-box, box]^3,
         each redrawn until it is valid."""
         rng = random.Random(seed)
         graph = SpatialGraph({v for e in edges for v in e}, edges)
         out = []
         while len(out) < count:
-            pos = {v: P(*(rng.randint(-50, 50) for _ in range(3))) for v in graph.vertices}
+            pos = {v: P(*(rng.randint(-box, box) for _ in range(3))) for v in graph.vertices}
             emb = LinearEmbedding(graph, pos)
             if validate_embedding(emb).valid:
                 out.append(emb)
@@ -288,3 +289,50 @@ class TestConwayGordonSachs:
                 [(p.cycle_a, p.cycle_b) for p in rep.pairs]
             assert [p.linking_number for p in back.pairs] == \
                 [-p.linking_number for p in rep.pairs]
+
+    def test_reversing_one_cycle_negates_its_pairs(self):
+        for emb in self.embeddings(self.K6, 1985, 3):
+            for pair in pairwise_link_scan(emb, 3).pairs:
+                a, b = ([emb.position[v] for v in c] for c in (pair.cycle_a, pair.cycle_b))
+                assert lk_both(ClosedPolygon(a[::-1]), ClosedPolygon(b)) == -pair.linking_number
+                assert lk_both(ClosedPolygon(a), ClosedPolygon(b[::-1])) == -pair.linking_number
+
+    def test_translation_and_scaling_keep_every_pair(self):
+        rng = random.Random(1986)
+        for emb in self.embeddings(self.K6, 1986, 5):
+            shift = P(*(rng.randint(-1000, 1000) for _ in range(3)))
+            values = [p.linking_number for p in pairwise_link_scan(emb, 3).pairs]
+            for move in (lambda p: p + shift, lambda p: p.scale(Fraction(7, 3))):
+                moved = LinearEmbedding(emb.graph, {v: move(p) for v, p in emb.position.items()})
+                assert [p.linking_number for p in pairwise_link_scan(moved, 3).pairs] == values
+
+    def test_lattice_degenerate_embeddings_have_odd_sum(self, monkeypatch):
+        """K6 on the lattice [-3, 3]^3: vertices line up with edges and with
+        one another, so the first projection direction or cone apex is often
+        not generic, and the searches go on to later candidates."""
+        tries = {"direction": 0, "apex": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                tries[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(linking, "direction_is_generic",
+                            counted("direction", linking.direction_is_generic))
+        monkeypatch.setattr(linking, "linking_number_cone",
+                            counted("apex", linking.linking_number_cone))
+        past_first = 0
+        for emb in self.embeddings(self.K6, 1987, 20, box=3):
+            rep = pairwise_link_scan(emb, 3)
+            assert len(rep.pairs) == 10
+            assert sum(p.linking_number for p in rep.pairs) % 2 == 1, emb.position
+            for pair in rep.pairs:
+                a, b = (ClosedPolygon([emb.position[v] for v in c])
+                        for c in (pair.cycle_a, pair.cycle_b))
+                for name, find in (("direction", find_generic_direction),
+                                   ("apex", find_generic_apex)):
+                    tries[name] = 0
+                    find(a, b)
+                    past_first += tries[name] > 1
+        assert past_first > 0

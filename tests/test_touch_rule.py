@@ -18,11 +18,22 @@ line) put the first offender anywhere in the (i, j) order.
 
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+
+from plgraph import exactgeom
 from plgraph.errors import CurvesIntersectError, DegenerateGeometryError, SceneInvariantViolation
-from plgraph.exactgeom import ExactPoint, Segment, segment_segment_classify
+from plgraph.exactgeom import (
+    _BOX_GRID,
+    ExactPoint,
+    Segment,
+    boxed_segment,
+    segment_contact,
+    segment_segment_classify,
+)
 from plgraph.graphs import LinearEmbedding, SpatialGraph, validate_embedding
 from plgraph.linking import ClosedPolygon, _check_disjoint
 from plgraph.scene import _polyline_simple, _polylines_disjoint
@@ -294,3 +305,80 @@ def test_long_mixed_denominator_embeddings():
             assert res.witness == want[0], seed
         kinds.add(want and want[1])
     assert kinds == {None, "endpoint-touch", "interior-cross", "collinear-overlap"}
+
+
+def test_boxes_contain_the_exact_boxes_within_one_grid_cell():
+    rng = random.Random(5)
+    for _ in range(300):
+        a, b = mixed_point(rng), mixed_point(rng)
+        if a == b:
+            continue
+        _seg, _ends, box = boxed_segment(Segment(a, b), (0, 1))
+        for k, (u, w) in enumerate(zip(a.coords(), b.coords())):
+            lo, hi = Fraction(box[2 * k], _BOX_GRID), Fraction(box[2 * k + 1], _BOX_GRID)
+            assert lo <= min(u, w) < lo + Fraction(1, _BOX_GRID)
+            assert hi - Fraction(1, _BOX_GRID) < max(u, w) <= hi
+
+
+def primes_above(n, count):
+    out = []
+    while len(out) < count:
+        n += 1
+        if all(n % d for d in range(2, int(n ** 0.5) + 1)):
+            out.append(n)
+    return out
+
+
+def test_coprime_denominators_keep_the_scan_small():
+    """401 points with distinct prime denominators just above 10**6, marching
+    along x, with one planted interior crossing of segment 299 by segment
+    301: the scan reports it and its memory stays flat."""
+    rng = random.Random(11)
+    primes = primes_above(10 ** 6, 401)
+    pts = [ExactPoint(Fraction(k * q + rng.randint(-q // 4, q // 4), q),
+                      Fraction(rng.randint(-q // 4, q // 4), q),
+                      Fraction(rng.randint(-q // 4, q // 4), q))
+           for k, q in enumerate(primes)]
+    cross = pts[299] + (pts[300] - pts[299]).scale(Fraction(1, 2))
+    pts[302] = cross + (cross - pts[301])
+    tracemalloc.start()
+    try:
+        with pytest.raises(SceneInvariantViolation) as exc:
+            _polyline_simple(pts, "walk")
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    i, j, res = exc.value.witness
+    assert (i, j, res.kind, res.point) == (299, 301, "interior-cross", cross)
+    assert peak < 1 << 20
+
+
+def counted_classify(monkeypatch):
+    calls = []
+
+    def classify(s, t):
+        calls.append((s, t))
+        return segment_segment_classify(s, t)
+
+    monkeypatch.setattr(exactgeom, "segment_segment_classify", classify)
+    return calls
+
+
+def test_segments_closer_than_a_grid_cell_are_classified_apart(monkeypatch):
+    gap = Fraction(1, 10 ** 15)
+    s = Segment(ExactPoint(0, 0, 0), ExactPoint(1, 0, 0))
+    t = Segment(ExactPoint(Fraction(1, 2), gap, -1), ExactPoint(Fraction(1, 2), gap, 1))
+    calls = counted_classify(monkeypatch)
+    assert segment_contact([boxed_segment(s, (0, 1))], [boxed_segment(t, (2, 3))]) is None
+    assert calls == [(s, t)]
+
+
+def test_segments_touching_off_the_grid_are_reported(monkeypatch):
+    p = ExactPoint(Fraction(1, 3), Fraction(1, 7), Fraction(1, 11))
+    s = Segment(ExactPoint(-1, 0, 0), p)
+    t = Segment(p, ExactPoint(1, 1, 1))
+    calls = counted_classify(monkeypatch)
+    hit = segment_contact([boxed_segment(s, (0, 1))], [boxed_segment(t, (2, 3))])
+    assert hit is not None and calls == [(s, t)]
+    i, j, res = hit
+    assert (i, j, res.kind, res.point) == (0, 0, "endpoint-touch", p)
