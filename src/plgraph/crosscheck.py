@@ -41,14 +41,25 @@ triangle is solved.  The surviving triangles are solved in the same order,
 so the result is the same as a full loop's.  :func:`panel_check_bruteforce`
 reaches the culled route for every graph edge.
 
-:func:`fan_meets_interior`, the equator's per-pair recheck, passes
-``cull=False`` and visits every triangle.  The same cull would give the same
-answers, and with it control-t2's ``scan_s`` went from 0.706 to 0.202 s
-(seed 31) and 0.669 to 0.208 s (seed 32), but its ``peak_rss_mb`` from 49.35
-to 56.36 MB (+14.2 %) and 48.50 to 55.11 MB (+13.6 %; 35-s runs on a 2-core
-host), because ``bench/run.py`` keeps every repetition's report bytes and a
-faster equator fits more repetitions.  It waits until the benchmark keeps a
-digest per report.
+**The start.**  :func:`fan_meets_interior` is the recheck of every equator
+pair and of every star witness segment the fast route finds blocked.  It
+solves the triangles first, first + 1, ... and wraps around the fan
+(``first`` is taken modulo the triangle count), returning at the first
+interior contact.  Its answer is an ``any`` over every triangle, so ``first``
+changes how many triangles it solves before it answers, never the answer:
+a "yes" is still its own solve of one triangle, and a "no" still solves
+them all.  The verifier passes the triangle where the fast route found the
+interior, so a "yes" solves that triangle alone; the start is a plain int,
+and this module reads nothing else of the fast route's result.
+
+:func:`fan_meets_interior` passes ``cull=False``.  The cull would give the
+same answers and speed up the "no" answers, which still solve every
+triangle (most pairs of the short-arc control), but with it control-t2's
+``scan_s`` went from 0.706 to 0.202 s (seed 31) and 0.669 to 0.208 s (seed
+32), and its ``peak_rss_mb`` from 49.35 to 56.36 MB (+14.2 %) and 48.50 to
+55.11 MB (+13.6 %; 35-s runs on a 2-core host), because ``bench/run.py``
+keeps every repetition's report bytes and a faster equator fits more
+repetitions.  It waits until the benchmark keeps a digest per report.
 """
 
 from __future__ import annotations
@@ -214,17 +225,20 @@ def _triangle_contacts(tri, a, b, d, h0, h1) -> list:
     return contacts
 
 
-def _contacts(fan: FanDisk, seg: Segment, cull: bool):
+def _contacts(fan: FanDisk, seg: Segment, cull: bool, first: int = 0):
     """``(disk feature, whether it is interior, point)`` for each contact of
-    the segment with the fan, triangle by triangle in order.  With ``cull``,
-    only the triangles that can meet plane(apex, a, b) away from the apex
-    are solved (see the module docstring); the others cannot meet the
-    segment."""
+    the segment with the fan, triangle by triangle.  With ``cull``, only the
+    triangles that can meet plane(apex, a, b) away from the apex are solved,
+    in order (see the module docstring); the others cannot meet the segment.
+    Without it, every triangle is solved, in the order first, first + 1, ...
+    around the fan (``first`` is taken modulo the triangle count)."""
     table = _table(fan)
     a, b = seg.a.coords(), seg.b.coords()
     d = _sub(b, a)
     ia, ib = _scaled((_sub(a, table.apex), _sub(b, table.apex)))
-    for i in table.cut(_cross(ia, ib)) if cull else range(len(table.normals)):
+    count = len(table.normals)
+    order = table.cut(_cross(ia, ib)) if cull else ((first + k) % count for k in range(count))
+    for i in order:
         n = table.normals[i]
         for feat, x in _triangle_contacts(table.triangles[i], a, b, d, _dot(ia, n), _dot(ib, n)):
             df = _disk_feature(fan, i, feat)
@@ -247,10 +261,11 @@ def fan_contact_features(fan: FanDisk, seg: Segment) -> Tuple[bool, Set[tuple], 
     return witness is not None, features, None if witness is None else ExactPoint(*witness)
 
 
-def fan_meets_interior(fan: FanDisk, seg: Segment) -> bool:
+def fan_meets_interior(fan: FanDisk, seg: Segment, first: int = 0) -> bool:
     """Early-exit interior test through the independent route, over every
-    triangle (see the module docstring)."""
-    return any(interior for _df, interior, _x in _contacts(fan, seg, cull=False))
+    triangle, starting at triangle ``first`` and wrapping around (see the
+    module docstring).  The answer does not depend on ``first``."""
+    return any(interior for _df, interior, _x in _contacts(fan, seg, cull=False, first=first))
 
 
 def panel_check_bruteforce(d: FanDisk, embedding, cycle) -> Tuple[str, Optional[tuple]]:

@@ -19,9 +19,11 @@ with a concrete witness.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from importlib import resources
 from typing import List, Optional, Sequence, Tuple
 
 from .disks import FanDisk, TriPatch, cone, disk_disk_classify
@@ -539,9 +541,15 @@ def split_scene_embedding(scene: Scene, t) -> "LinearEmbedding":
 # Shipped configurations
 # ---------------------------------------------------------------------------
 
+def _shipped_config(name: str) -> SceneConfig:
+    """The config stored in the package's ``data/`` directory under ``name``."""
+    text = resources.files(__package__).joinpath("data", name).read_text(encoding="utf-8")
+    return SceneConfig.from_jsonable(json.loads(text))
+
+
 def default_paper_config() -> SceneConfig:
-    """The shipped scene: a two-armed spherical spiral meeting at the south
-    pole.
+    """The shipped scene (``data/default_paper.json``): a two-armed spherical
+    spiral meeting at the south pole.
 
     Arm A descends from colatitude 30 degrees at longitude 0, winding three
     turns (48 samples per turn) down to the south pole; arm B is its exact
@@ -550,74 +558,20 @@ def default_paper_config() -> SceneConfig:
     anchor, with the two top endpoints on roughly opposite sides.  A short
     subarc just after the first anchor is replaced by a detour pushed away
     from the first anchor's spoke.  The separating curve is an open polar
-    loop well above everything.
+    loop well above everything.  The points were made with
+    :func:`sphere_point` and are stored as rationals, so every machine
+    builds the same scene; ``tests/test_shipped_configs.py`` rebuilds them.
     """
-    turns = 3
-    per_turn = 48
-    m = turns * per_turn  # chords per arm
-    arm_a: List[ExactPoint] = []
-    for j in range(m + 1):
-        s = 360.0 * turns * j / m
-        colat = 30.0 + 150.0 * j / m
-        arm_a.append(sphere_point(colat, s % 360.0))
-    # Exact south pole at the junction.
-    arm_a[-1] = ExactPoint(0, 0, -1)
-    rot180 = lambda p: ExactPoint(-p.x, -p.y, p.z)
-    arm_b = [rot180(p) for p in arm_a[:-1]]
-    alpha = arm_a + list(reversed(arm_b))
-
-    i0, i1 = 4, 8
-    eta_prime = [alpha[i0]]
-    for j in range(i0 + 1, i1):
-        s = 360.0 * turns * j / m
-        colat = 30.0 + 150.0 * j / m + 6.0
-        eta_prime.append(sphere_point(colat, s % 360.0))
-    eta_prime.append(alpha[i1])
-
-    beta = [sphere_point(12.0, 15.0 * k) for k in range(24)]
-
-    return SceneConfig(
-        sphere_radius=Fraction(1),
-        center=ExactPoint(0, 0, 0),
-        alpha=alpha,
-        eta_range=(i0, i1),
-        eta_prime=eta_prime,
-        beta=beta,
-        beta_closed=False,
-        a1_index=0,
-        c_index=m,
-        b1_index=2 * m,
-        n=64,
-        epsilon=Fraction(1, 100),
-        grid=GridSpec(shells=4, frequency=12),
-        tol=Fraction(1, 10 ** 6),
-    )
+    return _shipped_config("default_paper.json")
 
 
 def control_short_arc_config() -> SceneConfig:
-    """Negative control: the whole curve is a short arc near the north pole.
+    """Negative control (``data/control_short_arc.json``): the whole curve is
+    a short arc near the north pole.
 
     All three anchors sit inside the arc, so placements on the far side of
     the center see every attachment segment run clear of the panel fan; the
-    verifier must find those witnesses.
+    verifier must find those witnesses.  Stored as rationals, as the default
+    scene is.
     """
-    alpha = [sphere_point(10.0, -30.0 + 5.0 * k) for k in range(13)]
-    i0, i1 = 10, 12
-    eta_prime = [alpha[i0], sphere_point(8.0, 27.5), alpha[i1]]
-    beta = [sphere_point(170.0, 30.0 * k) for k in range(12)]
-    return SceneConfig(
-        sphere_radius=Fraction(1),
-        center=ExactPoint(0, 0, 0),
-        alpha=alpha,
-        eta_range=(i0, i1),
-        eta_prime=eta_prime,
-        beta=beta,
-        beta_closed=False,
-        a1_index=2,
-        c_index=6,
-        b1_index=10,
-        n=4,
-        epsilon=Fraction(1, 100),
-        grid=GridSpec(shells=2, frequency=6),
-        tol=Fraction(1, 10 ** 6),
-    )
+    return _shipped_config("control_short_arc.json")

@@ -13,7 +13,16 @@ route before the summary is trusted.
 ``check_equator_claim`` tests the cone over the full curve: for placements
 whose bottom-anchor segment misses that cone entirely (beyond the structural
 touch), every sampled near-sphere point with z above the center must send a
-segment through the cone's interior.
+segment through the cone's interior.  Every such pair is re-verified.
+
+The recheck is :mod:`plgraph.crosscheck`, which shares no predicate with the
+fast route.  A "meets the interior" answer needs one checked witness, not a
+search: the independent interior test starts at the fan triangle where the
+fast route found the interior (:func:`_start_triangle`), so a "yes" solves
+that one triangle.  The start changes only the order in which the
+independent route solves triangles, never its answer; a "no", and every
+other fast answer, is recomputed over the whole fan, and a disagreement
+raises.
 """
 
 from __future__ import annotations
@@ -147,10 +156,31 @@ def _classify_with_discount(fan: FanDisk, anchor: ExactPoint, anchor_feature,
     return SegmentStatus("disjoint")
 
 
+def _start_triangle(fan: FanDisk, features) -> int:
+    """The fan triangle at the first interior feature among ``features``:
+    ``("face", i)`` and ``("spoke", i)`` name triangle i, the apex names
+    triangle 0, and with no interior feature it is 0.  The independent
+    interior test starts there; its answer does not depend on the start."""
+    for f in features:
+        if fan.feature_is_interior(f):
+            return f[1] if f[0] in ("face", "spoke") else 0
+    return 0
+
+
 def _recheck_with_discount(fan: FanDisk, anchor: ExactPoint, anchor_feature,
-                           x: ExactPoint) -> str:
-    """The same discounted classification through the independent route."""
-    meets, features, _witness = crosscheck.fan_contact_features(fan, Segment(anchor, x))
+                           x: ExactPoint, fast: SegmentStatus) -> str:
+    """The same discounted classification through the independent route.
+
+    When the fast route's status ``fast`` says the segment meets the
+    interior, the independent interior test starts at the triangle the fast
+    route names, and its "yes" settles the answer.  Otherwise, and when that
+    test says no, every contact is recomputed independently, so a
+    disagreement still shows."""
+    seg = Segment(anchor, x)
+    if fast.status == "meets-interior" and \
+            crosscheck.fan_meets_interior(fan, seg, _start_triangle(fan, fast.features)):
+        return "meets-interior"
+    meets, features, _witness = crosscheck.fan_contact_features(fan, seg)
     if meets:
         return "meets-interior"
     features = set(features)
@@ -254,7 +284,7 @@ def verify_star(scene: Scene, cfg: Optional[SceneConfig] = None,
     for i in witness_indices:
         p = by_index[i]
         for (anchor, feat), st in zip(anchors, p.segments):
-            other = _recheck_with_discount(fan, anchor, feat, p.x)
+            other = _recheck_with_discount(fan, anchor, feat, p.x, st)
             if other != st.status:
                 raise AssertionError(
                     f"independent recheck disagrees at placement {i}: "
@@ -360,8 +390,10 @@ def _equator_row(scene: Scene, c_feature, samples, k: int, x: ExactPoint):
     for p in samples:
         seg = Segment(p, x)
         res = delta.classify_segment(seg)
-        # Every pair is re-verified through the independent route.
-        other = crosscheck.fan_meets_interior(delta, seg)
+        # Every pair is re-verified through the independent route, starting
+        # at the triangle where the fast route found the interior.
+        start = _start_triangle(delta, (c.feature for c in res.contacts))
+        other = crosscheck.fan_meets_interior(delta, seg, start)
         if other != (res.kind == "meets-interior"):
             raise AssertionError(
                 f"independent recheck disagrees on pair {k}: "

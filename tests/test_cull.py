@@ -44,7 +44,12 @@ from plgraph.exactgeom import (
     sign,
 )
 from plgraph.scene import GridSpec, build_scene, default_paper_config
-from plgraph.verify import _anchor_data, _classify_with_discount, upper_sample_points
+from plgraph.verify import (
+    _anchor_data,
+    _classify_with_discount,
+    _start_triangle,
+    upper_sample_points,
+)
 
 P = ExactPoint
 
@@ -182,11 +187,16 @@ def full_contact_features(fan, seg):
 
 
 def assert_both_routes_match(fan, seg):
-    """Compare both routes with the full loops; return the interior answer."""
-    assert fan.classify_segment(seg) == full_classify_segment(fan, seg), seg
+    """Compare both routes with the full loops, the interior test also from
+    the triangle the fast route names; return the interior answer."""
+    fast = fan.classify_segment(seg)
+    assert fast == full_classify_segment(fan, seg), seg
     full = full_contact_features(fan, seg)
     assert fan_contact_features(fan, seg) == full, seg
     assert fan_meets_interior(fan, seg) == full[0], seg
+    start = _start_triangle(fan, [c.feature for c in fast.contacts])
+    if start:
+        assert fan_meets_interior(fan, seg, start) == full[0], seg
     return full[0]
 
 
@@ -353,6 +363,43 @@ def test_rational_lattice_fans_match_full_loop(closed):
     assert kinds == ALL_KINDS
     # fan_meets_interior solves a coplanar triangle itself, and answers both ways.
     assert coplanar_answers == {False, True}
+
+
+@pytest.mark.parametrize("closed", [False, True])
+@pytest.mark.parametrize("rational", [False, True], ids=["integer", "rational"])
+def test_interior_test_answers_alike_from_every_start(closed, rational):
+    """The interior test visits every triangle from any start, wrapping
+    around the fan, so the start changes its time and never its answer."""
+    fans, answers = 0, set()
+    for seed in range(0, 400, 8):
+        rng = random.Random(seed)
+        lattice = rational_lattice(rng) if rational else LATTICE
+        apex, *rim = rng.sample(lattice, rng.randint(4, 7))
+        try:
+            fan = cone(apex, rim, closed=closed)
+        except FanConstructionError:
+            continue
+        fans += 1
+        for seg in lattice_segments(rng, fan, lattice):
+            meets = full_contact_features(fan, seg)[0]
+            answers.add(meets)
+            for k in range(fan.n_triangles):
+                assert fan_meets_interior(fan, seg, first=k) == meets, (seed, seg, k)
+    assert fans >= 10
+    assert answers == {False, True}
+
+
+def test_start_triangle_is_the_first_interior_feature():
+    square = [P(1, 0, 0), P(0, 1, 0), P(-1, 0, 0), P(0, -1, 0)]
+    closed, open_ = cone(P(0, 0, 0), square, closed=True), cone(P(0, 0, 0), square)
+    assert _start_triangle(closed, [("rimvert", 1), ("spoke", 2), ("face", 1)]) == 2
+    assert _start_triangle(closed, [("face", 3), ("spoke", 1)]) == 3
+    assert _start_triangle(closed, [("apex",), ("face", 2)]) == 0
+    assert _start_triangle(closed, [("rim", 2), ("rimvert", 3)]) == 0
+    assert _start_triangle(closed, []) == 0
+    # On an open fan the apex and the outer spokes are boundary.
+    assert _start_triangle(open_, [("apex",), ("spoke", 0), ("spoke", 3), ("face", 2)]) == 2
+    assert _start_triangle(open_, [("spoke", 1)]) == 1
 
 
 def test_table_cache_follows_each_fan():

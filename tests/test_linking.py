@@ -1,7 +1,9 @@
 """Linking numbers: fixtures, algorithm equivalence, and invariances."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -13,7 +15,7 @@ from plgraph.errors import (
     NonGenericDirectionError,
 )
 from plgraph.exactgeom import ExactPoint
-from plgraph.graphs import LinearEmbedding, SpatialGraph, validate_embedding
+from plgraph.graphs import LinearEmbedding, SpatialGraph, enumerate_cycles, validate_embedding
 from plgraph.linking import (
     ClosedPolygon,
     find_generic_apex,
@@ -247,15 +249,86 @@ class TestPairwiseScan:
         assert doc["pairs"][0]["cycle_a"] == [0, 1, 2]
 
 
+def _triangles(edges):
+    """The triangles of a graph, each as a sorted vertex triple, in order."""
+    adj = {}
+    for u, w in edges:
+        adj.setdefault(u, set()).add(w)
+        adj.setdefault(w, set()).add(u)
+    return sorted({tuple(sorted((u, w, x))) for u in adj for w in adj[u] for x in adj[u] & adj[w]})
+
+
+def _delta_y(edges, tri):
+    """The graph with triangle ``tri``'s edges replaced by a new vertex
+    joined to its three corners."""
+    gone = {frozenset(e) for e in combinations(tri, 2)}
+    t = max(v for e in edges for v in e) + 1
+    return [e for e in edges if frozenset(e) not in gone] + [(v, t) for v in tri]
+
+
+def _shape(edges):
+    """Vertex count, degree sequence and triangle count: enough to tell the
+    Petersen family's graphs apart."""
+    degree = Counter(v for e in edges for v in e)
+    return len(degree), tuple(sorted(degree.values())), len(_triangles(edges))
+
+
+def delta_y_family(start):
+    """Every graph that Delta-Y moves make from ``start``, one edge list per
+    shape, by vertex count."""
+    family, todo = {_shape(start): start}, [start]
+    while todo:
+        edges = todo.pop()
+        for tri in _triangles(edges):
+            moved = _delta_y(edges, tri)
+            if _shape(moved) not in family:
+                family[_shape(moved)] = moved
+                todo.append(moved)
+    return [family[k] for k in sorted(family)]
+
+
+K6 = [(u, w) for u in range(6) for w in range(u + 1, 6)]
+# K6 and, by Delta-Y moves from it, the graphs on 7 to 10 vertices of the
+# Petersen family; K3,3,1, the seventh, needs a Y-Delta move.
+K6_, P7, P8, K44E, P9, PETERSEN = delta_y_family(K6)
+
+
+def _is_bipartite(edges):
+    colour, todo = {edges[0][0]: 0}, [edges[0][0]]
+    while todo:
+        u = todo.pop()
+        for e in edges:
+            if u in e:
+                w = e[1] if e[0] == u else e[0]
+                if w not in colour:
+                    colour[w] = 1 - colour[u]
+                    todo.append(w)
+                elif colour[w] == colour[u]:
+                    return False
+    return True
+
+
+def test_delta_y_moves_make_six_of_the_petersen_family():
+    assert K6_ == K6
+    assert all(len(g) == 15 for g in (P7, P8, K44E, P9, PETERSEN))
+    assert [_shape(g)[0] for g in (P7, P8, K44E, P9, PETERSEN)] == [7, 8, 8, 9, 10]
+    # Bipartite with 15 edges and degrees 3, 3, 4, ..., 4: K4,4 less an edge.
+    assert _shape(K44E)[1] == (3, 3, 4, 4, 4, 4, 4, 4) and _is_bipartite(K44E)
+    # Cubic on 10 vertices with no cycle shorter than 5: the Petersen graph.
+    assert _shape(PETERSEN)[1] == (3,) * 10
+    assert enumerate_cycles(SpatialGraph(range(10), PETERSEN), 4) == []
+
+
 class TestConwayGordonSachs:
     """Every embedding of K6 in space is linked: the linking numbers of its
     ten pairs of disjoint triangles have an odd sum (Conway & Gordon, "Knots
     and links in spatial graphs", 1983; Sachs 1983).  The same holds for
     K3,3,1, whose nine disjoint cycle pairs each join a triangle through the
-    apex to a 4-cycle of K3,3.  Both routes agree on every pair inside
+    apex to a 4-cycle of K3,3, and, checked here on 15 seeded embeddings
+    each, for the graphs that Delta-Y moves make from K6, among them K4,4 - e
+    and the Petersen graph.  Both routes agree on every pair inside
     ``pairwise_link_scan``; this checks what they agree on."""
 
-    K6 = [(u, w) for u in range(6) for w in range(u + 1, 6)]
     K331 = [(u, w) for u in range(3) for w in range(3, 6)] + [(6, u) for u in range(6)]
 
     @staticmethod
@@ -272,8 +345,10 @@ class TestConwayGordonSachs:
                 out.append(emb)
         return out
 
-    @pytest.mark.parametrize("edges, max_len, pairs", [(K6, 3, 10), (K331, 4, 9)],
-                             ids=["K6", "K331"])
+    @pytest.mark.parametrize("edges, max_len, pairs", [
+        (K6, 3, 10), (K331, 4, 9), (P7, 4, 9), (P8, 5, 8), (K44E, 5, 9), (P9, 6, 7),
+        (PETERSEN, 7, 6),
+    ], ids=["K6", "K331", "P7", "P8", "K44-e", "P9", "Petersen"])
     def test_linking_numbers_have_odd_sum(self, edges, max_len, pairs):
         for emb in self.embeddings(edges, 1983, 15):
             rep = pairwise_link_scan(emb, max_len)
@@ -281,7 +356,7 @@ class TestConwayGordonSachs:
             assert sum(p.linking_number for p in rep.pairs) % 2 == 1, emb.position
 
     def test_mirror_negates_every_linking_number(self):
-        for emb in self.embeddings(self.K6, 1984, 5):
+        for emb in self.embeddings(K6, 1984, 5):
             mirror = LinearEmbedding(emb.graph, {v: P(p.x, p.y, -p.z)
                                                  for v, p in emb.position.items()})
             rep, back = pairwise_link_scan(emb, 3), pairwise_link_scan(mirror, 3)
@@ -291,7 +366,7 @@ class TestConwayGordonSachs:
                 [-p.linking_number for p in rep.pairs]
 
     def test_reversing_one_cycle_negates_its_pairs(self):
-        for emb in self.embeddings(self.K6, 1985, 3):
+        for emb in self.embeddings(K6, 1985, 3):
             for pair in pairwise_link_scan(emb, 3).pairs:
                 a, b = ([emb.position[v] for v in c] for c in (pair.cycle_a, pair.cycle_b))
                 assert lk_both(ClosedPolygon(a[::-1]), ClosedPolygon(b)) == -pair.linking_number
@@ -299,7 +374,7 @@ class TestConwayGordonSachs:
 
     def test_translation_and_scaling_keep_every_pair(self):
         rng = random.Random(1986)
-        for emb in self.embeddings(self.K6, 1986, 5):
+        for emb in self.embeddings(K6, 1986, 5):
             shift = P(*(rng.randint(-1000, 1000) for _ in range(3)))
             values = [p.linking_number for p in pairwise_link_scan(emb, 3).pairs]
             for move in (lambda p: p + shift, lambda p: p.scale(Fraction(7, 3))):
@@ -323,7 +398,7 @@ class TestConwayGordonSachs:
         monkeypatch.setattr(linking, "linking_number_cone",
                             counted("apex", linking.linking_number_cone))
         past_first = 0
-        for emb in self.embeddings(self.K6, 1987, 20, box=3):
+        for emb in self.embeddings(K6, 1987, 20, box=3):
             rep = pairwise_link_scan(emb, 3)
             assert len(rep.pairs) == 10
             assert sum(p.linking_number for p in rep.pairs) % 2 == 1, emb.position

@@ -3,9 +3,10 @@
 An AST walk over each module that computes a predicate or a verdict finds
 every use of the name ``float``, every float or complex literal, and every
 ``math`` name other than ``gcd`` and ``lcm``.  In ``scene.py`` the walk
-skips only the float constructors, which round sines and cosines to
-rationals before any predicate sees them; the rest of it, ``GridSpec``,
-``SceneConfig`` and ``build_scene`` included, is checked.  ``meshio.py``,
+skips only ``sphere_point``, ``icosphere_directions`` and their rounding
+helpers, which round sines, cosines and square roots to rationals before any
+predicate sees them; the rest of it, ``GridSpec``, ``SceneConfig``,
+``build_scene`` and the shipped configs, which load JSON files, is checked.  ``meshio.py``,
 which formats OBJ output, is exempt.
 """
 
@@ -19,7 +20,7 @@ EXACT_MODULES = ("exactgeom", "disks", "graphs", "linking", "crosscheck", "verif
 # The module-level functions whose bodies may use floats, per module.
 FLOAT_CONSTRUCTORS = {
     "scene": ("rationalize", "rationalize_toward_zero", "sphere_point",
-              "icosphere_directions", "default_paper_config", "control_short_arc_config"),
+              "icosphere_directions"),
 }
 MATH_ALLOWED = {"gcd", "lcm"}
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from plgraph import crosscheck
 from plgraph.disks import disk_disk_classify
 from plgraph.errors import ConfigError, SceneInvariantViolation, SpliceMismatchError
 from plgraph.exactgeom import ExactPoint, Segment
@@ -29,6 +30,9 @@ from plgraph.scene import (
 )
 from plgraph.verify import (
     MAX_SAMPLES,
+    SegmentStatus,
+    _anchor_data,
+    _recheck_with_discount,
     check_equator_claim,
     star_exit_code,
     upper_sample_points,
@@ -312,6 +316,104 @@ class TestEquator:
         assert rep.vacuous
         assert rep.pairs_checked == 0
         assert len(rep.premise_indices) == 0
+
+
+@pytest.fixture(scope="module")
+def reduced_default_scene():
+    cfg = default_paper_config()
+    cfg.grid = GridSpec(shells=1, frequency=4)
+    return build_scene(cfg)
+
+
+# The scenes of the recheck tests and the equator check's sample count on each.
+RECHECK_SCENES = {"control": 5, "reduced-default": 10}
+
+
+def _scene(request, which):
+    return request.getfixturevalue("control_scene" if which == "control" else
+                                   "reduced_default_scene")
+
+
+class TestIndependentRecheck:
+    """A "meets the interior" answer is rechecked from the fan triangle the
+    fast route names; the independent route still decides every answer."""
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """``(answer, triangles solved)`` for each call of the independent
+        interior test."""
+        calls, solved = [], [0]
+        solve, meets_interior = crosscheck._triangle_contacts, crosscheck.fan_meets_interior
+
+        def counted(*args):
+            solved[0] += 1
+            return solve(*args)
+
+        def recording(fan, seg, first=0):
+            solved[0] = 0
+            answer = meets_interior(fan, seg, first)
+            calls.append((answer, solved[0]))
+            return answer
+
+        monkeypatch.setattr(crosscheck, "_triangle_contacts", counted)
+        monkeypatch.setattr(crosscheck, "fan_meets_interior", recording)
+        return calls
+
+    @pytest.mark.parametrize("which", list(RECHECK_SCENES))
+    def test_each_yes_solves_one_triangle(self, request, recorded, which):
+        scene = _scene(request, which)
+        star = verify_star(scene)
+        star_yes = [solved for answer, solved in recorded if answer]
+        assert len(star_yes) == sum(st.status == "meets-interior"
+                                    for w in star.witnesses() for st in w.segments)
+        del recorded[:]
+        equator = check_equator_claim(scene, sample_count=RECHECK_SCENES[which])
+        equator_yes = [solved for answer, solved in recorded if answer]
+        assert len(recorded) == equator.pairs_checked
+        assert len(equator_yes) == equator.blocked_pairs > 0
+        assert set(star_yes + equator_yes) == {1}
+        if which == "reduced-default":
+            assert star.min_blocked == 1 and star_yes
+
+    @pytest.mark.parametrize("which", list(RECHECK_SCENES))
+    def test_recheck_status_does_not_depend_on_the_fast_status(self, request, which):
+        """On every witness segment the recheck gives the status that the full
+        independent classification gives, whatever the fast route said."""
+        scene = _scene(request, which)
+        star = request.getfixturevalue("control_star").value if which == "control" \
+            else verify_star(scene)
+        fan, anchors = scene.gamma_prime, _anchor_data(scene)
+        segments = 0
+        for w in star.witnesses():
+            for (anchor, feat), st in zip(anchors, w.segments):
+                meets, features, _ = crosscheck.fan_contact_features(fan, Segment(anchor, w.x))
+                full = "meets-interior" if meets else \
+                    "boundary-only" if set(features) - {feat} else "disjoint"
+                assert st.status == full
+                for fast in (st, SegmentStatus("meets-interior", st.features),
+                             SegmentStatus("disjoint")):
+                    assert _recheck_with_discount(fan, anchor, feat, w.x, fast) == full
+                segments += 1
+        assert segments > 0
+
+    def test_a_no_from_the_independent_route_raises(self, reduced_default_scene, monkeypatch):
+        scene = reduced_default_scene
+        star = canonical_dumps(verify_star(scene).to_jsonable(full=True))
+        monkeypatch.setattr(crosscheck, "fan_meets_interior", lambda fan, seg, first=0: False)
+        with pytest.raises(AssertionError, match="independent recheck disagrees"):
+            check_equator_claim(scene, sample_count=10)
+        # After a no, the star recheck recomputes every contact, which says
+        # yes; with that answering no as well, the recheck disagrees.
+        assert canonical_dumps(verify_star(scene).to_jsonable(full=True)) == star
+        monkeypatch.setattr(crosscheck, "fan_contact_features",
+                            lambda fan, seg: (False, set(), None))
+        with pytest.raises(AssertionError, match="independent recheck disagrees"):
+            verify_star(scene)
+
+    def test_a_yes_from_the_independent_route_raises(self, control_scene, monkeypatch):
+        monkeypatch.setattr(crosscheck, "fan_meets_interior", lambda fan, seg, first=0: True)
+        with pytest.raises(AssertionError, match="independent recheck disagrees"):
+            check_equator_claim(control_scene, sample_count=5)
 
 
 def _two_triangles():
