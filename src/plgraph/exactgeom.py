@@ -8,10 +8,15 @@ inputs gives identical results.
 A point's only state is one canonical integer tuple ``(X, Y, Z, D)`` with
 ``D > 0``, ``gcd(X, Y, Z, D) = 1`` and ``x = X/D`` etc.  Point arithmetic
 runs on those integers and reduces each result once; a determinant sign
-(``orient3d``) cross-multiplies the denominators and stays in integers.
-``fractions.Fraction`` appears as the read-only coordinate views ``x``,
-``y``, ``z`` (for JSON, reports and sort keys) and as the scalar type of dot
-products and segment parameters.
+(``orient3d``) cross-multiplies the denominators and stays in integers.  So
+do the constructions: a plane, or an edge's line within a triangle's plane,
+is an integer linear form on ``(X, Y, Z, D)`` (``_plane_form``), a point's
+side of it is the sign of the form's value, and a segment crosses it at the
+homogeneous combination of its ends' ireps weighted by those values
+(``_crossing``), reduced once.  ``fractions.Fraction`` appears only as
+``ExactPoint``'s read-only views and arithmetic (``x``, ``y``, ``z`` for
+JSON, reports and sort keys; ``dot`` and ``scale`` for callers outside the
+kernel) and as the scalar 1/2 of a witness midpoint.
 
 One touch rule serves polylines, polygons and graph embeddings
 (``segment_contact``): each segment names its two endpoints (point indices,
@@ -170,15 +175,47 @@ def orient3d(a: ExactPoint, b: ExactPoint, c: ExactPoint, d: ExactPoint) -> int:
     return 0
 
 
+def _plane_form(P: Sequence[int], n: Sequence[int]) -> Tuple[int, int, int, int]:
+    """The integer linear form ``L`` of the plane through the point with irep
+    ``P`` and integer normal ``n``.  Its value at a point with irep ``X`` (see
+    :func:`_height`) is ``X[3] * P[3] * n . (x - p)``: positive on the side
+    ``n`` points to, zero on the plane."""
+    d = P[3]
+    return (n[0] * d, n[1] * d, n[2] * d, -idot(n, P))
+
+
+def _height(L: Sequence[int], X: Sequence[int]) -> int:
+    """The value of the integer linear form ``L`` at the irep ``X``."""
+    return L[0] * X[0] + L[1] * X[1] + L[2] * X[2] + L[3] * X[3]
+
+
+def _crossing(A: Sequence[int], B: Sequence[int], ha: int, hb: int) -> ExactPoint:
+    """The point where segment AB, given by the ireps of its ends, crosses the
+    zero set of a linear form whose values ``ha`` at A and ``hb`` at B have
+    strictly opposite signs: the homogeneous point ``ha B - hb A``.
+
+    Its last entry ``ha B[3] - hb A[3]`` is nonzero and takes ``ha``'s sign,
+    so the combination is negated when ``ha < 0``; then it is reduced once.
+    On the affine points it is ``(ha' b - hb' a) / (ha' - hb')`` with
+    ``ha' = ha B[3]`` and ``hb' = hb A[3]`` of opposite signs, a point of the
+    segment, at parameter ``ha / (ha - hb)`` for heights on one scale.
+    """
+    if ha < 0:
+        ha, hb = -ha, -hb
+    return _point(ha * B[0] - hb * A[0], ha * B[1] - hb * A[1], ha * B[2] - hb * A[2],
+                  ha * B[3] - hb * A[3])
+
+
 def plane_crossing(tri: Triangle, a: ExactPoint, b: ExactPoint) -> ExactPoint:
     """The point where segment ab crosses the triangle's plane.
 
-    a and b must lie strictly on opposite sides of the plane, so their
-    signed heights hA, hB differ and the crossing parameter is
-    hA / (hA - hB).
+    a and b must lie strictly on opposite sides of the plane.  Their integer
+    heights over the triangle's integer normal weigh the crossing
+    (:func:`_crossing`).
     """
-    ha, hb = (a - tri.p).dot(tri.normal), (b - tri.p).dot(tri.normal)
-    return a + (b - a).scale(ha / (ha - hb))
+    L = _plane_form(tri.p.irep, tri.normal.irep)
+    A, B = a.irep, b.irep
+    return _crossing(A, B, _height(L, A), _height(L, B))
 
 
 def collinear(a: ExactPoint, b: ExactPoint, c: ExactPoint) -> bool:
@@ -213,7 +250,7 @@ class Triangle:
     """A non-degenerate triangle.  Vertices are ordered; edge k runs from
     vertex k to vertex (k+1) mod 3."""
 
-    __slots__ = ("p", "q", "r", "normal")
+    __slots__ = ("p", "q", "r", "normal", "_edges")
 
     def __init__(self, p: ExactPoint, q: ExactPoint, r: ExactPoint):
         normal = (q - p).cross(r - p)
@@ -223,17 +260,11 @@ class Triangle:
         self.q = q
         self.r = r
         self.normal = normal
+        self._edges = None
 
     @property
     def vertices(self) -> Tuple[ExactPoint, ExactPoint, ExactPoint]:
         return (self.p, self.q, self.r)
-
-    def edge_side(self, k: int, x: ExactPoint) -> Fraction:
-        """A value whose sign says where the in-plane point x lies against
-        edge k's line: positive on the triangle's side, zero on the line,
-        negative beyond it."""
-        v = self.vertices
-        return (v[(k + 1) % 3] - v[k]).cross(x - v[k]).dot(self.normal)
 
     def edge(self, k: int) -> Segment:
         v = self.vertices
@@ -241,6 +272,26 @@ class Triangle:
 
     def __repr__(self):
         return f"Triangle({self.p!r}, {self.q!r}, {self.r!r})"
+
+
+def _edge_forms(tri: Triangle) -> tuple:
+    """The integer linear forms of the triangle's three edges, made once per
+    triangle.  Form k is that of the plane through edge k with normal
+    ``n x e_k`` (``n`` the triangle's normal, ``e_k`` the edge's direction):
+    at a point of the triangle's plane it is positive on the triangle's side
+    of edge k's line, zero on the line and negative beyond it, with the sign
+    of ``(e_k x (x - v_k)) . n``."""
+    forms = tri._edges
+    if forms is None:
+        n = tri.normal.irep
+        v = [p.irep for p in tri.vertices]
+        forms = []
+        for k in range(3):
+            P, Q = v[k], v[(k + 1) % 3]
+            e = (Q[0] * P[3] - P[0] * Q[3], Q[1] * P[3] - P[1] * Q[3], Q[2] * P[3] - P[2] * Q[3])
+            forms.append(_plane_form(P, icross(n, e)))
+        tri._edges = forms = tuple(forms)
+    return forms
 
 
 # ---------------------------------------------------------------------------
@@ -255,44 +306,54 @@ class SegSegResult:
 
 
 def _collinear_overlap(s: Segment, t: Segment) -> SegSegResult:
-    """All four endpoints lie on one line.  Interval arithmetic on the line."""
-    u = s.b - s.a
-    lam = lambda p: (p - s.a).dot(u)
-    s_lo, s_hi = Fraction(0), u.dot(u)
-    t0, t1 = lam(t.a), lam(t.b)
-    t_lo, t_hi = (t0, t1) if t0 <= t1 else (t1, t0)
-    lo = max(s_lo, t_lo)
-    hi = min(s_hi, t_hi)
-    if lo > hi:
+    """All four endpoints lie on one line.  Interval arithmetic on the line:
+    points are ordered by ``u . x`` for s's integer direction ``u``, as the
+    pairs ``(u . X, D)`` of their ireps, compared by cross-multiplying.  The
+    ends of the overlap are endpoints of s or t."""
+    u = (s.b - s.a).irep
+
+    def before(p: ExactPoint, q: ExactPoint) -> bool:
+        return idot(u, p.irep) * q.irep[3] < idot(u, q.irep) * p.irep[3]
+
+    t_lo, t_hi = (t.b, t.a) if before(t.b, t.a) else (t.a, t.b)
+    lo = t_lo if before(s.a, t_lo) else s.a
+    hi = t_hi if before(t_hi, s.b) else s.b
+    if before(hi, lo):
         return SegSegResult("disjoint")
     if lo == hi:
-        pt = s.a + u.scale(lo / u.dot(u))
-        return SegSegResult("endpoint-touch", point=pt)
-    p1 = s.a + u.scale(lo / u.dot(u))
-    p2 = s.a + u.scale(hi / u.dot(u))
-    return SegSegResult("collinear-overlap", overlap=(p1, p2))
+        return SegSegResult("endpoint-touch", point=lo)
+    return SegSegResult("collinear-overlap", overlap=(lo, hi))
 
 
 def segment_segment_classify(s: Segment, t: Segment) -> SegSegResult:
-    """Exact classification of the intersection of two segments in R^3."""
+    """Exact classification of the intersection of two segments in R^3.
+
+    Two coplanar segments on non-parallel lines with common normal ``n``:
+    s's ends get integer heights over the plane through t's line with normal
+    ``w x n``, and t's ends over the plane through s's line with normal
+    ``u x n``.  Each segment contains the lines' one common point exactly
+    when its ends are not strictly on one side, and has it inside when both
+    heights are nonzero.  The point is an end of s, or s's crossing
+    (:func:`_crossing`).
+    """
     if orient3d(s.a, s.b, t.a, t.b) != 0:
         return SegSegResult("disjoint")  # not coplanar, cannot meet
     if collinear(s.a, s.b, t.a) and collinear(s.a, s.b, t.b):
         return _collinear_overlap(s, t)
-    u = s.b - s.a
-    w = t.b - t.a
-    n = u.cross(w)
-    if n.is_zero():
+    u = (s.b - s.a).irep
+    w = (t.b - t.a).irep
+    n = icross(u, w)
+    if n == (0, 0, 0):
         return SegSegResult("disjoint")  # parallel distinct lines
-    # Coplanar, non-parallel lines: unique line intersection.
-    m = t.a - s.a
-    nn = n.dot(n)
-    t1 = m.cross(w).dot(n) / nn
-    t2 = m.cross(u).dot(n) / nn
-    if t1 < 0 or t1 > 1 or t2 < 0 or t2 > 1:
+    A, B, C, E = s.a.irep, s.b.irep, t.a.irep, t.b.irep
+    L = _plane_form(C, icross(w, n))
+    ha, hb = _height(L, A), _height(L, B)
+    L = _plane_form(A, icross(u, n))
+    hc, he = _height(L, C), _height(L, E)
+    if ha * hb > 0 or hc * he > 0:
         return SegSegResult("disjoint")
-    pt = s.a + u.scale(t1)
-    if 0 < t1 < 1 and 0 < t2 < 1:
+    pt = s.a if ha == 0 else s.b if hb == 0 else _crossing(A, B, ha, hb)
+    if ha and hb and hc and he:
         return SegSegResult("interior-cross", point=pt)
     return SegSegResult("endpoint-touch", point=pt)
 
@@ -415,9 +476,12 @@ def _locate_in_plane(pt: ExactPoint, tri: Triangle) -> Optional[Feature]:
     """Locate a point known to lie in the triangle's plane.
 
     Returns ('interior',), ('edge', k), ('vertex', k), or None if outside.
+    The three signs are those of the triangle's integer edge forms at the
+    point's irep.
     """
-    sides = [sign(tri.edge_side(k, pt)) for k in range(3)]
-    if any(s < 0 for s in sides):
+    X = pt.irep
+    sides = [sign(_height(L, X)) for L in _edge_forms(tri)]
+    if -1 in sides:
         return None
     return edge_sign_feature(*sides)
 
@@ -429,11 +493,10 @@ def _coplanar_segment_triangle(s: Segment, tri: Triangle) -> list:
     pts = _clip_polygon_in_plane([s.a, s.b], tri)
     if len(pts) < 2:
         return [Contact("point", _locate_in_plane(p, tri), point=p) for p in pts]
-    v = tri.vertices
-    u = s.b - s.a
-    for k in range(3):
-        e = v[(k + 1) % 3] - v[k]
-        if u.cross(e).is_zero() and collinear(v[k], v[(k + 1) % 3], pts[0]):
+    # The clipped piece lies along edge k when both its ends are on its line.
+    P, Q = pts[0].irep, pts[1].irep
+    for k, L in enumerate(_edge_forms(tri)):
+        if _height(L, P) == 0 and _height(L, Q) == 0:
             return [Contact("segment", ("edge", k), seg=tuple(pts))]
     return [Contact("segment", ("chord",), seg=tuple(pts))]
 
@@ -521,13 +584,17 @@ def _clip_polygon_in_plane(poly, tri: Triangle):
     vertices of a convex polygon (another triangle), or the one or two ends
     of a segment (a segment in the plane, or a triangle's section by it).
     The points that survive keep their order, so a segment comes back as
-    the ends of its clipped piece, still from its a end toward its b end."""
+    the ends of its clipped piece, still from its a end toward its b end.
+
+    Each half-plane is an integer edge form; a point's height is the form's
+    value at its irep, and an edge from a point of positive height to one of
+    negative height is cut at their :func:`_crossing`."""
     pts = list(poly)
-    for k in range(3):
+    for L in _edge_forms(tri):
         if not pts:
             return []
         keep = []
-        hs = [tri.edge_side(k, p) for p in pts]
+        hs = [_height(L, p.irep) for p in pts]
         m = len(pts)
         for i in range(m):
             j = (i + 1) % m
@@ -535,8 +602,7 @@ def _clip_polygon_in_plane(poly, tri: Triangle):
             if hi_ >= 0:
                 keep.append(pts[i])
             if (hi_ > 0 and hj < 0) or (hi_ < 0 and hj > 0):
-                t = hi_ / (hi_ - hj)
-                keep.append(pts[i] + (pts[j] - pts[i]).scale(t))
+                keep.append(_crossing(pts[i].irep, pts[j].irep, hi_, hj))
         pts = list(dict.fromkeys(keep))
     return pts
 

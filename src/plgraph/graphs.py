@@ -12,7 +12,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .disks import FanDisk
 from .errors import EmbeddingInvalidError, GraphStructureError
-from .exactgeom import ExactPoint, Segment, boxed_segment, frac, segment_contact
+from .exactgeom import ExactPoint, Segment, boxed_segment, frac, icross, idot, segment_contact
 
 Vertex = object
 Edge = FrozenSet
@@ -111,12 +111,14 @@ def validate_embedding(e: LinearEmbedding) -> ValidationResult:
         for ed, (seg, _, _) in zip(edges, segs):
             if v in ed:
                 continue
-            u = seg.b - seg.a
-            w = p - seg.a
-            if not u.cross(w).is_zero():
+            # p lies inside the edge when w = p - a is along u = b - a with
+            # 0 < w . u < u . u, read from the ireps of w and u.
+            u = (seg.b - seg.a).irep
+            w = (p - seg.a).irep
+            if icross(u, w) != (0, 0, 0):
                 continue
-            lam = w.dot(u)
-            if 0 < lam < u.dot(u):
+            lam = idot(w, u) * u[3]
+            if 0 < lam < idot(u, u) * w[3]:
                 return ValidationResult(False, ("vertex-edge", v, tuple(ed), p))
     return ValidationResult(True)
 

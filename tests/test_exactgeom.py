@@ -353,16 +353,24 @@ class TestSegmentTriangle:
         assert first == second
 
 
+def edge_side(tri, k, x):
+    """A Fraction whose sign says where the in-plane point x lies against
+    edge k's line: positive on the triangle's side, zero on the line,
+    negative beyond it."""
+    v = tri.vertices
+    return (v[(k + 1) % 3] - v[k]).cross(x - v[k]).dot(tri.normal)
+
+
 def parametric_coplanar_contacts(s, tri):
     """Oracle for the kernel's in-plane clip: the segment clipped by one
-    parameter interval against the three edge lines."""
+    parameter interval against the three edge lines, in Fractions."""
     point_at = lambda t: s.a + (s.b - s.a).scale(t)
     v = tri.vertices
     u = s.b - s.a
     lo, hi = Fraction(0), Fraction(1)
     for k in range(3):
-        h0 = tri.edge_side(k, s.a)
-        h1 = tri.edge_side(k, s.b)
+        h0 = edge_side(tri, k, s.a)
+        h1 = edge_side(tri, k, s.b)
         if h0 < 0 and h1 < 0:
             return []
         if h0 >= 0 and h1 >= 0:

@@ -53,6 +53,25 @@ class TestValidateEmbedding:
         assert not res.valid
         assert res.witness[0] == "vertex-edge"
 
+    def test_vertex_on_an_edge_line_matches_fraction_parameter(self):
+        """A vertex on edge ab's line, at a seeded parameter with its own
+        denominator, is reported exactly when the Fraction parameter
+        (p - a) . u / u . u lies strictly between 0 and 1."""
+        rng = random.Random(515)
+        g = SpatialGraph([0, 1, 2], [(0, 1)])
+        for _ in range(200):
+            a = P(*(Fraction(rng.randint(-99, 99), rng.randint(1, 10 ** 6)) for _ in range(3)))
+            u = P(*(Fraction(rng.randint(-99, 99), rng.randint(1, 97)) for _ in range(3)))
+            if u.is_zero():
+                continue
+            t = Fraction(rng.randint(-5 * 10 ** 6, 5 * 10 ** 6), rng.randint(1, 10 ** 6))
+            if t in (0, 1):
+                continue
+            p = a + u.scale(t)
+            res = validate_embedding(LinearEmbedding(g, {0: a, 1: a + u, 2: p}))
+            assert res.valid == (not 0 < (p - a).dot(u) / u.norm2() < 1), t
+            assert res.valid or res.witness == ("vertex-edge", 2, (0, 1), p)
+
     def test_adjacent_edges_overlapping_invalid(self):
         g = SpatialGraph([0, 1, 2], [(0, 1), (0, 2)])
         pos = {0: P(0, 0, 0), 1: P(2, 0, 0), 2: P(1, 0, 0)}
