@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -26,6 +25,7 @@ from .errors import (
     PatchConstructionError,
 )
 from .exactgeom import (
+    Contact,
     ExactPoint,
     Segment,
     Triangle,
@@ -34,6 +34,7 @@ from .exactgeom import (
     collinear,
     icross,
     idot,
+    midpoint,
     orient3d,
     segment_triangle_contacts,
     sign,
@@ -225,7 +226,7 @@ class FanDisk:
             return ev[1]
         if ev[0] == "segment":
             p, q = ev[1], ev[2]
-            mid = p + (q - p).scale(Fraction(1, 2))
+            mid = midpoint(p, q)
             return mid if mid != self.apex else p if p != self.apex else q
         if ev[0] == "polygon":
             return ev[1][0]
@@ -277,10 +278,12 @@ class FanDisk:
 
         meets-interior iff the segment intersects the disk's interior (open
         triangles, open shared spokes, and the apex for closed fans);
-        boundary-only iff it meets the disk only in its boundary; contacts on
-        shared features are reported once.  A straight segment meets each
-        disk feature in at most one connected set, so contacts are keyed by
-        feature.
+        boundary-only iff it meets the disk only in its boundary.  The
+        contacts are the kernel's :class:`Contact`s with the triangle feature
+        mapped to the disk feature, sorted by feature; contacts on shared
+        features are reported once.  A straight segment meets each disk
+        feature in at most one connected set, so contacts are keyed by
+        feature, and a contact is interior when its disk feature is.
 
         One sign row per segment decides which triangles are visited.  With
         N = (a - apex) x (b - apex), the normal of plane(apex, a, b), entry k
@@ -302,11 +305,10 @@ class FanDisk:
         """
         entries = {}
 
-        def add(i, tri_feat, point=None, seg=None):
+        def add(i, kind, tri_feat, point=None, seg=None):
             dfeat = self._map_feature(i, tri_feat)
             if dfeat not in entries:
-                interior = self.feature_is_interior(dfeat) or tri_feat == ("chord",)
-                entries[dfeat] = (interior, point, seg)
+                entries[dfeat] = Contact(kind, dfeat, point, seg)
 
         va = (s.a - self.apex).irep
         vb = (s.b - self.apex).irep
@@ -316,29 +318,18 @@ class FanDisk:
             n, tri = self._inormals[i], self.triangles[i]
             edges = lambda: (row[i] - 1, orient3d(s.a, s.b, tri.q, tri.r), 1 - row[i + 1])
             for c in _contacts_from_signs(s, tri, sign(idot(n, va)), sign(idot(n, vb)), edges):
-                add(i, c.feature, point=c.point, seg=c.seg)
+                add(i, c.kind, c.feature, c.point, c.seg)
                 if c.kind != "segment":
                     continue
                 for endpoint in c.seg:
                     efeat = _locate_in_plane(endpoint, tri)
                     if efeat is not None and efeat != c.feature:
-                        add(i, efeat, point=endpoint)
-        contacts = []
-        witness = None
-        any_interior = False
-        for dfeat in sorted(entries, key=_feature_key):
-            interior, point, seg = entries[dfeat]
-            c = DiskContact(dfeat, point=point, seg=seg)
-            contacts.append(c)
-            if interior:
-                any_interior = True
-                if witness is None:
-                    witness = c.witness_point()
-        if any_interior:
-            return DiskSegmentResult("meets-interior", tuple(contacts), witness=witness)
-        if contacts:
-            return DiskSegmentResult("boundary-only", tuple(contacts))
-        return DiskSegmentResult("disjoint", ())
+                        add(i, "point", efeat, point=endpoint)
+        contacts = tuple(entries[f] for f in sorted(entries, key=_feature_key))
+        for c in contacts:
+            if self.feature_is_interior(c.feature):
+                return DiskSegmentResult("meets-interior", contacts, witness=c.witness_point())
+        return DiskSegmentResult("boundary-only" if contacts else "disjoint", contacts)
 
     # -- serialization helpers ----------------------------------------------
 
@@ -353,18 +344,16 @@ class FanDisk:
 
     @classmethod
     def from_jsonable(cls, obj: dict) -> "FanDisk":
-        from .jsonio import bool_from_json, point_from_json
+        from .jsonio import bool_from_json, point_from_json, points_from_json
 
         if not isinstance(obj, dict):
             raise ConfigError("fan document must be a JSON object", "fan")
         for key in ("apex", "rim"):
             if key not in obj:
                 raise ConfigError("missing required field", key)
-        if not isinstance(obj["rim"], list):
-            raise ConfigError("expected a list of points", "rim")
         return cls(
             point_from_json(obj["apex"], "apex"),
-            [point_from_json(p, f"rim[{k}]") for k, p in enumerate(obj["rim"])],
+            points_from_json(obj["rim"], "rim"),
             closed=bool_from_json(obj.get("closed", False), "closed"),
         )
 
@@ -383,22 +372,9 @@ def _feature_key(feature: DiskFeature):
 
 
 @dataclass(frozen=True)
-class DiskContact:
-    feature: DiskFeature
-    point: Optional[ExactPoint] = None
-    seg: Optional[Tuple[ExactPoint, ExactPoint]] = None
-
-    def witness_point(self) -> ExactPoint:
-        if self.point is not None:
-            return self.point
-        a, b = self.seg
-        return a + (b - a).scale(Fraction(1, 2))
-
-
-@dataclass(frozen=True)
 class DiskSegmentResult:
     kind: str  # 'disjoint' | 'boundary-only' | 'meets-interior'
-    contacts: Tuple[DiskContact, ...] = ()
+    contacts: Tuple[Contact, ...] = ()  # features are disk features
     witness: Optional[ExactPoint] = None
 
     def boundary_features(self) -> Tuple[DiskFeature, ...]:
@@ -418,19 +394,18 @@ class DiskDiskResult:
     witness: Optional[tuple] = None
 
 
-def _shared_apex_classify(d1: FanDisk, d2: FanDisk) -> DiskDiskResult:
-    """Fan pair with a common apex: triangles meet away from the apex iff
-    their direction cones share a direction, which is an exact integer test.
+def _shared_apex_meeting(d1: FanDisk, d2: FanDisk) -> Optional[Tuple[int, int]]:
+    """Fan pair with a common apex: the first pair ``(i, j)`` of triangles
+    that meet away from the apex, or None.  They meet there iff their
+    direction cones share a direction, which is an exact integer test.
 
     ``side1[i]`` holds the signs of d2's rim directions against d1's
     triangle i, and ``side2[j]`` those of d1's rim directions against d2's
     triangle j (rows as in :meth:`FanDisk._validate_embedded`).  A pair is
     apart when either triangle's two rim directions lie strictly on one side
     of the other's plane, read from the rows; only the rest reach
-    :func:`_cones_share_direction`.  Pairs are decided in (i, j) order, so
-    the first meeting pair is the one reported.
+    :func:`_cones_share_direction`.  Pairs are decided in (i, j) order.
     """
-    apex = d1.apex
     dirs1, dirs2 = d1._idirs, d2._idirs
     side1 = _side_rows(d1._inormals, dirs2)
     side2 = _side_rows(d2._inormals, dirs1)
@@ -440,43 +415,45 @@ def _shared_apex_classify(d1: FanDisk, d2: FanDisk) -> DiskDiskResult:
                      and (sj[i] == 1 or sj[i] != sj[i + 1])]
         for j in unsettled:
             if _cones_share_direction(dirs1[i], dirs1[i + 1], dirs2[j], dirs2[j + 1]):
-                ev = triangle_triangle_intersection(d1.triangles[i], d2.triangles[j])
-                return DiskDiskResult("larger-intersection", witness=(i, j, ev))
-    f1 = d1.locate_point(apex)
-    f2 = d2.locate_point(apex)
-    return DiskDiskResult(
-        "single-point",
-        point=apex,
-        on_boundary_1=not d1.feature_is_interior(f1),
-        on_boundary_2=not d2.feature_is_interior(f2),
-    )
+                return i, j
+    return None
 
 
 def disk_disk_classify(d1: FanDisk, d2: FanDisk) -> DiskDiskResult:
     """Exact classification of the intersection of two fan disks.
 
     single-point reports the common point and whether it lies on each disk's
-    boundary; anything bigger is larger-intersection with a witness.
+    boundary; anything bigger is larger-intersection with a witness.  Fans
+    with a common apex meet in the apex alone unless
+    :func:`_shared_apex_meeting` finds a pair; other fans are decided pair by
+    pair.  Either way a single point reaches one tail that locates it on
+    both disks.
     """
-    if d1.apex == d2.apex:
-        return _shared_apex_classify(d1, d2)
     found_point: Optional[ExactPoint] = None
-    for i, t1 in enumerate(d1.triangles):
-        for j, t2 in enumerate(d2.triangles):
-            ev = triangle_triangle_intersection(t1, t2)
-            if ev[0] == "empty":
-                continue
-            if ev[0] != "point":
-                return DiskDiskResult("larger-intersection", witness=(i, j, ev))
-            p = ev[1]
-            if found_point is None:
-                found_point = p
-            elif found_point != p:
-                return DiskDiskResult(
-                    "larger-intersection", witness=(i, j, ("two-points", found_point, p))
-                )
-    if found_point is None:
-        return DiskDiskResult("disjoint")
+    if d1.apex == d2.apex:
+        pair = _shared_apex_meeting(d1, d2)
+        if pair is not None:
+            i, j = pair
+            ev = triangle_triangle_intersection(d1.triangles[i], d2.triangles[j])
+            return DiskDiskResult("larger-intersection", witness=(i, j, ev))
+        found_point = d1.apex
+    else:
+        for i, t1 in enumerate(d1.triangles):
+            for j, t2 in enumerate(d2.triangles):
+                ev = triangle_triangle_intersection(t1, t2)
+                if ev[0] == "empty":
+                    continue
+                if ev[0] != "point":
+                    return DiskDiskResult("larger-intersection", witness=(i, j, ev))
+                p = ev[1]
+                if found_point is None:
+                    found_point = p
+                elif found_point != p:
+                    return DiskDiskResult(
+                        "larger-intersection", witness=(i, j, ("two-points", found_point, p))
+                    )
+        if found_point is None:
+            return DiskDiskResult("disjoint")
     f1 = d1.locate_point(found_point)
     f2 = d2.locate_point(found_point)
     return DiskDiskResult(
@@ -596,7 +573,7 @@ class TriPatch:
         i, j = 0, 0
         na, nb = len(a) - 1, len(b) - 1
         while i < na or j < nb:
-            adv_a = i < na and (j == nb or Fraction(i + 1, na) <= Fraction(j + 1, nb))
+            adv_a = i < na and (j == nb or (i + 1) * nb <= (j + 1) * na)
             try:
                 if adv_a:
                     # Corner coincidences happen only at the shared endpoints,

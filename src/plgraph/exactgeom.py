@@ -16,7 +16,7 @@ homogeneous combination of its ends' ireps weighted by those values
 (``_crossing``), reduced once.  ``fractions.Fraction`` appears only as
 ``ExactPoint``'s read-only views and arithmetic (``x``, ``y``, ``z`` for
 JSON, reports and sort keys; ``dot`` and ``scale`` for callers outside the
-kernel) and as the scalar 1/2 of a witness midpoint.
+kernel) and in ``frac``, which coerces inputs.
 
 One touch rule serves polylines, polygons and graph embeddings
 (``segment_contact``): each segment names its two endpoints (point indices,
@@ -126,6 +126,13 @@ def _point(X: int, Y: int, Z: int, D: int) -> ExactPoint:
     p = object.__new__(ExactPoint)
     p.irep = (X, Y, Z, D)
     return p
+
+
+def midpoint(p: ExactPoint, q: ExactPoint) -> ExactPoint:
+    """The midpoint of p and q, built from their two ireps and reduced once."""
+    X, Y, Z, D = p.irep
+    U, V, W, E = q.irep
+    return _point(X * E + U * D, Y * E + V * D, Z * E + W * D, 2 * D * E)
 
 
 def icross(u: Sequence[int], v: Sequence[int]) -> Tuple[int, int, int]:
@@ -466,10 +473,7 @@ class Contact:
     seg: Optional[Tuple[ExactPoint, ExactPoint]] = None
 
     def witness_point(self) -> ExactPoint:
-        if self.kind == "point":
-            return self.point
-        a, b = self.seg
-        return a + (b - a).scale(Fraction(1, 2))
+        return self.point if self.kind == "point" else midpoint(*self.seg)
 
 
 def _locate_in_plane(pt: ExactPoint, tri: Triangle) -> Optional[Feature]:

@@ -26,6 +26,11 @@ def _is_int(obj) -> bool:
     return isinstance(obj, int) and not isinstance(obj, bool)
 
 
+def _is_id(obj) -> bool:
+    """Is ``obj`` a JSON string or integer, as vertex ids are?"""
+    return isinstance(obj, str) or _is_int(obj)
+
+
 def int_from_json(obj, field: str) -> int:
     """A JSON integer: a float, even 2.0, a boolean or a string raises
     ConfigError naming ``field`` instead of being truncated or coerced."""
@@ -71,6 +76,13 @@ def point_from_json(obj, field: str = "point") -> ExactPoint:
     return _point(x * (d // dx), y * (d // dy), z * (d // dz), d)
 
 
+def points_from_json(obj, field: str) -> List[ExactPoint]:
+    """A JSON list of points, the k-th named ``field[k]``."""
+    if not isinstance(obj, list):
+        raise ConfigError("expected a list of points", field)
+    return [point_from_json(p, f"{field}[{k}]") for k, p in enumerate(obj)]
+
+
 def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
@@ -107,14 +119,21 @@ def embedding_from_json(obj) -> "LinearEmbedding":
 
     if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
         raise ConfigError("embedding document needs 'vertices' and 'edges'", "embedding")
+    for key in ("vertices", "edges"):
+        if not isinstance(obj[key], list):
+            raise ConfigError("expected a list", key)
     position = {}
     ids = []
     for k, rec in enumerate(obj["vertices"]):
         if not isinstance(rec, dict) or "id" not in rec or "pos" not in rec:
             raise ConfigError("vertex records need 'id' and 'pos'", f"vertices[{k}]")
         vid = rec["id"]
-        if not isinstance(vid, (str, int)):
+        if not _is_id(vid):
             raise ConfigError("vertex ids must be strings or integers", f"vertices[{k}].id")
+        if ids and type(vid) is not type(ids[0]):
+            # Ids are sorted against each other (cycle enumeration).
+            raise ConfigError("vertex ids must be all strings or all integers",
+                              f"vertices[{k}].id")
         if vid in position:
             raise ConfigError(f"duplicate vertex id {vid!r}", f"vertices[{k}].id")
         ids.append(vid)
@@ -124,6 +143,8 @@ def embedding_from_json(obj) -> "LinearEmbedding":
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ConfigError("edges must be [id, id] pairs", f"edges[{k}]")
         for vid in pair:
+            if not _is_id(vid):
+                raise ConfigError("edge endpoints must be strings or integers", f"edges[{k}]")
             if vid not in position:
                 raise ConfigError(f"edge endpoint {vid!r} is not a declared vertex", f"edges[{k}]")
         edges.append(tuple(pair))

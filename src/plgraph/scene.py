@@ -30,7 +30,7 @@ from .disks import FanDisk, TriPatch, cone, disk_disk_classify
 from .errors import ConfigError, SceneInvariantViolation, SpliceMismatchError
 from .exactgeom import ExactPoint, Segment, polyline_segments, segment_contact
 from .jsonio import (bool_from_json, int_from_json, point_from_json, point_to_json,
-                     rat_from_json, rat_to_json)
+                     points_from_json, rat_from_json, rat_to_json)
 
 RATIONAL_DENOM = 10 ** 6
 
@@ -213,10 +213,6 @@ class SceneConfig:
         i0, i1 = self.eta_range
         return list(self.alpha[: i0 + 1]) + list(self.eta_prime[1:-1]) + list(self.alpha[i1:])
 
-    def anchors(self) -> Tuple[ExactPoint, ExactPoint, ExactPoint]:
-        ap = self.alpha_prime()
-        return ap[self.a1_index], ap[self.c_index], ap[self.b1_index]
-
     # -- validation ------------------------------------------------------------
 
     def validate(self):
@@ -300,11 +296,10 @@ class SceneConfig:
         cfg = cls(
             sphere_radius=rat_from_json(obj.get("sphere_radius", [1, 1]), "sphere_radius"),
             center=point_from_json(obj.get("center", [[0, 1], [0, 1], [0, 1]]), "center"),
-            alpha=[point_from_json(p, f"alpha[{k}]") for k, p in enumerate(obj["alpha"])],
+            alpha=points_from_json(obj["alpha"], "alpha"),
             eta_range=tuple(int_from_json(v, "eta_range") for v in eta_range),
-            eta_prime=[point_from_json(p, f"eta_prime[{k}]")
-                       for k, p in enumerate(obj["eta_prime"])],
-            beta=[point_from_json(p, f"beta[{k}]") for k, p in enumerate(obj["beta"])],
+            eta_prime=points_from_json(obj["eta_prime"], "eta_prime"),
+            beta=points_from_json(obj["beta"], "beta"),
             beta_closed=bool_from_json(obj.get("beta_closed", False), "beta_closed"),
             a1_index=int_from_json(obj["a1_index"], "a1_index"),
             c_index=int_from_json(obj["c_index"], "c_index"),

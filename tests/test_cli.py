@@ -227,6 +227,30 @@ class TestLk:
         assert json.loads(out.read_text())["manifest"] == want
 
 
+@pytest.mark.parametrize("command, key, value, message", [
+    ("verify-star", "alpha", 5, "alpha: expected a list of points"),
+    ("verify-star", "beta", [5], "beta[0]: expected three rational pairs"),
+    ("lk", "vertices", 5, "vertices: expected a list"),
+    ("lk", "edges", 5, "edges: expected a list"),
+    ("lk", "edges", [[0, [1]]], "edges[0]: edge endpoints must be strings or integers"),
+    ("lk", "vertices", [{**rec, "id": "a"} if k == 2 else rec
+                        for k, rec in enumerate(HOPF_EMBEDDING["vertices"])],
+     "vertices[2].id: vertex ids must be all strings or all integers"),
+])
+def test_mistyped_list_field_exits_1_naming_it(tmp_path, command, key, value, message):
+    doc = json.loads(CONTROL.read_text()) if command == "verify-star" else dict(HOPF_EMBEDDING)
+    doc[key] = value
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    args = ["--config", str(path)] if command == "verify-star" else [str(path)]
+    out = tmp_path / "out.json"
+    proc = run_cli(command, *args, "--out", str(out))
+    assert proc.returncode == 1
+    assert f"error: {message}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, what", [("verify-star", "config"), ("lk", "embedding")])
 def test_unreadable_or_malformed_input_exits_1(tmp_path, command, what):
     path = tmp_path / "input.json"

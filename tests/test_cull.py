@@ -29,9 +29,10 @@ from plgraph.crosscheck import (
     fan_contact_features,
     fan_meets_interior,
 )
-from plgraph.disks import DiskContact, DiskSegmentResult, _feature_key, cone
+from plgraph.disks import DiskSegmentResult, _feature_key, cone
 from plgraph.errors import FanConstructionError
 from plgraph.exactgeom import (
+    Contact,
     ExactPoint,
     Segment,
     _locate_in_plane,
@@ -105,7 +106,7 @@ def full_classify_segment(fan, s):
         interior, i, point, seg, lazy = entries[dfeat]
         if point is None and seg is None and lazy is not None:
             point = plane_crossing(fan.triangles[lazy], s.a, s.b)
-        c = DiskContact(dfeat, point=point, seg=seg)
+        c = Contact("point" if seg is None else "segment", dfeat, point=point, seg=seg)
         contacts.append(c)
         if interior and witness is None:
             witness = c.witness_point()
@@ -442,8 +443,8 @@ def moved_result(res, move):
     """A classification with every point moved; the features stay."""
     return DiskSegmentResult(
         res.kind,
-        tuple(DiskContact(c.feature, point=c.point and move(c.point),
-                          seg=c.seg and tuple(move(p) for p in c.seg)) for c in res.contacts),
+        tuple(Contact(c.kind, c.feature, point=c.point and move(c.point),
+                      seg=c.seg and tuple(move(p) for p in c.seg)) for c in res.contacts),
         witness=res.witness and move(res.witness))
 
 

@@ -176,6 +176,8 @@ def test_shared_apex_classification_matches_pairwise_reference(closed):
         want = reference_shared_apex_meeting(d1, d2)
         if want is None:
             assert (got.kind, got.point) == ("single-point", apex), seed
+            # The apex is interior to a closed fan and on an open one's boundary.
+            assert (got.on_boundary_1, got.on_boundary_2) == (not d1.closed, not d2.closed), seed
         else:
             assert (got.kind, got.witness) == ("larger-intersection", want), seed
         outcomes.add(got.kind)

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from plgraph.disks import cone
-from plgraph.errors import EmbeddingInvalidError, GraphStructureError
+from plgraph.errors import ConfigError, EmbeddingInvalidError, GraphStructureError
 from plgraph.exactgeom import ExactPoint, orient3d
 from plgraph.graphs import (
     LinearEmbedding,
@@ -247,8 +247,22 @@ class TestEmbeddingJson:
         assert embedding_to_json(back) == doc
 
     def test_rejects_malformed(self):
-        from plgraph.errors import ConfigError
-
         with pytest.raises(ConfigError):
             embedding_from_json({"vertices": [{"id": 0, "pos": [[1, 0], [0, 1], [0, 1]]}],
                                  "edges": []})
+
+    @pytest.mark.parametrize("key, value, field", [
+        ("vertices", 5, "vertices"),
+        ("edges", 5, "edges"),
+        ("edges", [[0, 1], [1, [2]]], "edges[1]"),
+        ("edges", [[0, True]], "edges[0]"),
+        # Mixed id types: cycle enumeration sorts ids against each other.
+        ("vertices", [{"id": v, "pos": [[k, 1], [k * k, 1], [0, 1]]}
+                      for k, v in enumerate(["a", 1, 2])], "vertices[1].id"),
+    ])
+    def test_mistyped_field_names_it(self, key, value, field):
+        doc = embedding_to_json(unit_square_embedding())
+        doc[key] = value
+        with pytest.raises(ConfigError) as exc:
+            embedding_from_json(doc)
+        assert exc.value.field == field

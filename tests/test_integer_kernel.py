@@ -1,11 +1,11 @@
 """The kernel's integer constructions against Fraction references written here.
 
-``plane_crossing``, ``_locate_in_plane``, the in-plane clip and
-``segment_segment_classify`` compute on the points' canonical integers.  Each
-reference below computes the same answer on Fraction coordinate triples, with
-the textbook formula (a crossing parameter, barycentric coordinates, a
-parameter interval, a line/line solve), and builds an ``ExactPoint`` only to
-compare.  Points are seeded rationals with denominators up to 10**6, or
+``plane_crossing``, ``_locate_in_plane``, the in-plane clip,
+``segment_segment_classify`` and ``midpoint`` compute on the points'
+canonical integers.  Each reference below computes the same answer on
+Fraction coordinate triples, with the textbook formula (a crossing
+parameter, barycentric coordinates, a parameter interval, a line/line solve,
+``a + (b - a) / 2``), and builds an ``ExactPoint`` only to compare.  Points are seeded rationals with denominators up to 10**6, or
 lattice points.  A crossing point is compared by its irep, so a
 non-canonical result (a negative or unreduced denominator) fails as well as
 a wrong point.
@@ -23,11 +23,13 @@ from plgraph.exactgeom import (
     Triangle,
     _clip_polygon_in_plane,
     _locate_in_plane,
+    midpoint,
     plane_crossing,
     segment_segment_classify,
     segment_triangle_contacts,
     triangle_triangle_intersection,
 )
+from plgraph.jsonio import point_from_json
 from test_exactgeom import edge_side, parametric_coplanar_contacts
 
 F = Fraction
@@ -359,3 +361,29 @@ def test_segment_segment_classify_matches_the_fraction_solve():
     assert kinds["collinear touch"] == {"endpoint-touch"}
     assert kinds["collinear apart"] == kinds["parallel"] == kinds["ends apart"] == {"disjoint"}
     assert kinds["skew"] == {"disjoint"}
+
+
+# -- midpoint ------------------------------------------------------------------------
+
+def pair_point(rng):
+    """A point read from ``[numerator, denominator]`` pairs that may be
+    unreduced, have negative denominators, and mix integers with large
+    denominators."""
+    pairs = []
+    for _ in range(3):
+        n, d = rng.randint(-BIG, BIG), rng.choice((1, 2, rng.randint(1, BIG)))
+        g, s = rng.choice((1, 2, 6, rng.randint(1, 999))), rng.choice((1, -1))
+        pairs.append([s * g * n, s * g * d])
+    return point_from_json(pairs)
+
+
+def test_midpoint_matches_the_fraction_midpoint():
+    rng = random.Random(7501)
+    cases = [(pair_point(rng), pair_point(rng)) for _ in range(300)]
+    cases += [(pt(lattice_triple(rng)), pt(lattice_triple(rng))) for _ in range(60)]
+    a = pair_point(rng)
+    cases += [(a, a), (a, pt((F(0), F(0), F(0))))]
+    for a, b in cases:
+        for p, q in ((a, b), (b, a)):
+            got = midpoint(p, q)
+            assert got.irep == pt(add(coords(p), mul(F(1, 2), sub(coords(q), coords(p))))).irep

@@ -6,15 +6,15 @@ Fraction can be made on the way to a verdict: a ``Fraction(...)`` call, a
 true division ``/`` (``int / int`` is a float, which ``test_no_float.py``
 cannot see, and ``Fraction / int`` is a Fraction), and a call of ``.dot``,
 ``.norm2`` or ``.scale``, the ``ExactPoint`` methods that return or take
-Fractions.  Such a site is allowed only inside a named scope:
+Fractions.  Such a site is allowed only inside a named scope of
+``exactgeom``, and ``disks`` has none:
 
 * ``ExactPoint``: its Fraction views ``x``, ``y``, ``z`` and its arithmetic
   for callers outside the kernel;
-* ``frac``, which coerces inputs to Fraction;
-* the witness midpoints ``Contact.witness_point``,
-  ``DiskContact.witness_point`` and ``FanDisk._common_point_witness``;
-* ``TriPatch.between_polylines``, whose zigzag compares the fractions of
-  each polyline walked so far.
+* ``frac``, which coerces inputs to Fraction.
+
+Witness midpoints come from the integer ``midpoint``, and the patch zigzag
+compares its walked fractions by cross-multiplying.
 
 A scope is the dotted path of the classes and functions around a site, and a
 name in the list allows everything nested in it.
@@ -27,11 +27,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "plgraph"
 CHECKED_MODULES = ("exactgeom", "disks")
-ALLOWED_SCOPES = {
-    "exactgeom": ("ExactPoint", "frac", "Contact.witness_point"),
-    "disks": ("DiskContact.witness_point", "FanDisk._common_point_witness",
-              "TriPatch.between_polylines"),
-}
+ALLOWED_SCOPES = {"exactgeom": ("ExactPoint", "frac"), "disks": ()}
 FRACTION_METHODS = {"dot", "norm2", "scale"}
 
 
@@ -68,6 +64,13 @@ def fraction_uses(source: str, allowed=()) -> list:
 def test_fast_route_makes_no_fraction(module):
     source = (SRC / f"{module}.py").read_text(encoding="utf-8")
     assert fraction_uses(source, ALLOWED_SCOPES[module]) == []
+
+
+def test_fan_module_imports_no_fractions():
+    tree = ast.parse((SRC / "disks.py").read_text(encoding="utf-8"))
+    imported = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    imported |= {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+    assert "fractions" not in imported
 
 
 def test_the_walk_finds_each_kind_of_use():

@@ -101,6 +101,10 @@ class TestConfig:
         ("eta_range", [1, 2, 3], "eta_range"),
         ("beta_closed", 0, "beta_closed"),
         ("beta_closed", "false", "beta_closed"),
+        ("alpha", 5, "alpha"),
+        ("eta_prime", 5, "eta_prime"),
+        ("beta", 5, "beta"),
+        ("beta.1", 5, "beta[1]"),
     ])
     def test_mistyped_field_rejected_not_truncated(self, where, value, field):
         doc = control_short_arc_config().to_jsonable()
