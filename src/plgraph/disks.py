@@ -9,13 +9,30 @@ point of the disk.
 The disk's interior is its topological interior: the open triangles plus the
 open shared spokes (and, for closed fans, the apex).  All classification here
 is exact; the hot paths run on cached integer vectors.
+
+A segment is classified only on the triangles that plane(apex, a, b) can cut,
+read from the signs of the rim directions against that plane.  For a segment
+from a registered endpoint a (:meth:`FanDisk.index_endpoint`) those signs come
+from a pencil index: every plane through the line apex-a is one angle about
+that line, so the signs depend only on where x falls among the rim
+directions' angles, found by a binary search.  With A = a - apex, e1 = A x t
+for an integer t not parallel to A, and e2 = A x e1, a vector w has the
+plane coordinates w2 = (w . e1, w . e2), and
+
+    cross2(U2, d2) = |e1|^2 det(A, U, d) = |e1|^2 ((A x U) . d)
+
+for U = x - apex and a rim direction d, so the sign of one 2-D cross
+product is the sign of d against the plane's normal A x U.  The general
+path computes the signs as one row of dot products with that normal.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import cmp_to_key
+from math import gcd
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     BoundaryMismatchError,
@@ -65,6 +82,104 @@ def _side_rows(normals, dirs) -> List[bytes]:
     return [bytes([(v > 0) - (v < 0) + 1 for v in
                    [n0 * x + n1 * y + n2 * z for x, y, z, _ in dirs]])
             for n0, n1, n2 in normals]
+
+
+def _cross2(u, w) -> int:
+    """The 2-D cross product of integer vectors u and w."""
+    return u[0] * w[1] - u[1] * w[0]
+
+
+def _upper(x: int, y: int) -> int:
+    """The factor +-1 that puts the nonzero vector (x, y) into the upper
+    half-plane (y > 0, or y = 0 and x > 0); 0 for the zero vector."""
+    return 1 if y > 0 or (y == 0 and x > 0) else -1 if x or y else 0
+
+
+class _Pencil(NamedTuple):
+    """The pencil index of an anchor a over a fan's rim directions.
+
+    ``e1`` and ``e2`` span the plane coordinates (see the module
+    docstring).  Each rim direction d_k maps to d2_k = (d_k . e1, d_k . e2),
+    scaled to primitive and put into the upper half-plane by the factor
+    ``tau[k]`` = ``_upper(d2_k)``; a direction on the axis has d2_k = 0 and
+    ``tau[k]`` = 0.  ``events`` holds the distinct normalised d2 in
+    increasing angle, and ``rank[k]`` is the index of d_k's event.  In state
+    r (x's plane coordinates, put into the upper half-plane by the factor f,
+    lie past the first r events and before the rest), row entry k is
+    f tau[k] when rank[k] >= r and -f tau[k] otherwise; ``live[r]`` holds the
+    triangles that row keeps, which do not depend on f.
+    """
+
+    e1: Tuple[int, int, int]
+    e2: Tuple[int, int, int]
+    events: List[Tuple[int, int]]
+    live: List[Tuple[int, ...]]
+    tau: List[int]
+    rank: List[int]
+
+
+def _pencil_index(A, dirs) -> _Pencil:
+    """The pencil index of an anchor with nonzero apex-relative integer
+    direction ``A``, over the fan's rim directions ``dirs``."""
+    # t is the coordinate axis along which A is shortest, so not parallel to A.
+    j = min(range(3), key=lambda i: abs(A[i]))
+    e1 = icross(A, tuple(int(i == j) for i in range(3)))
+    e2 = icross(A, e1)
+    tau, keys = [], []
+    for d in dirs:
+        x, y = idot(d, e1), idot(d, e2)
+        f, g = _upper(x, y), gcd(x, y) or 1
+        tau.append(f)
+        keys.append((f * x // g, f * y // g) if f else None)
+    events = sorted({k for k in keys if k is not None},
+                    key=cmp_to_key(lambda u, w: -_cross2(u, w)))
+    rank_of = {e: r for r, e in enumerate(events)}
+    rank = [rank_of.get(k, 0) for k in keys]
+    # Sweep the states: passing an event negates the entries of its
+    # directions, which changes only the triangles on either side of them.
+    count = len(dirs) - 1
+    entry = list(tau)
+    crossed = [[] for _ in events]
+    for k, key in enumerate(keys):
+        if key is not None:
+            crossed[rank_of[key]].append(k)
+    kept = {i for i in range(count) if not entry[i] or entry[i] != entry[i + 1]}
+    live = [tuple(sorted(kept))]
+    for group in crossed:
+        for k in group:
+            entry[k] = -entry[k]
+        for i in {i for k in group for i in (k - 1, k) if 0 <= i < count}:
+            if not entry[i] or entry[i] != entry[i + 1]:
+                kept.add(i)
+            else:
+                kept.discard(i)
+        live.append(tuple(sorted(kept)))
+    return _Pencil(e1, e2, events, live, tau, rank)
+
+
+def _pencil_cull(index, U):
+    """The live triangles and the row entry of each rim direction for the
+    segment from the index's anchor to the point with apex-relative integer
+    direction ``U``, or None when the row must decide: when U is on the
+    axis (U2 = 0), or when plane(apex, a, x) holds a rim direction off the
+    axis (U2 is on an event)."""
+    e1, e2, events, live, tau, rank = index
+    x, y = idot(U, e1), idot(U, e2)
+    f = _upper(x, y)
+    if not f:
+        return None
+    x, y = f * x, f * y
+    lo, hi = 0, len(events)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        ex, ey = events[mid]
+        if ex * y - ey * x > 0:  # event mid comes strictly before U2
+            lo = mid + 1
+        else:
+            hi = mid
+    if lo < len(events) and _cross2(events[lo], (x, y)) == 0:
+        return None
+    return live[lo], lambda k: f * tau[k] if rank[k] >= lo else -f * tau[k]
 
 
 def _cones_share_direction(a, b, c, d) -> bool:
@@ -119,6 +234,8 @@ class FanDisk:
         self.apex = apex
         self.rim = rim
         self.closed = closed
+        # Pencil indexes of registered segment endpoints, keyed by irep.
+        self._pencils = {}
         # Integer rim directions rim[k] - apex.  A closed fan's direction 0
         # repeats at the end, so triangle i always spans entries i and i + 1.
         dirs = [(p - apex).irep for p in rim]
@@ -273,6 +390,15 @@ class FanDisk:
 
     # -- segment classification ---------------------------------------------
 
+    def index_endpoint(self, a: ExactPoint) -> None:
+        """Build and keep the pencil index of ``a``, so that
+        :meth:`classify_segment` culls the segments that start at ``a`` by
+        a binary search instead of a row.  Registering a point again, or the
+        apex, keeps nothing new.  The results do not change."""
+        A = (a - self.apex).irep
+        if a.irep not in self._pencils and A[:3] != (0, 0, 0):
+            self._pencils[a.irep] = _pencil_index(A, self._idirs)
+
     def classify_segment(self, s: Segment) -> "DiskSegmentResult":
         """Exact classification of a segment against this disk.
 
@@ -296,6 +422,16 @@ class FanDisk:
         zero (apex, a and b collinear, an endpoint at the apex included) the
         row is all zeros and every triangle is visited, as in the full loop.
 
+        When ``a`` was registered with :meth:`index_endpoint`, the kept
+        triangles and the entries come from its pencil index instead: with
+        U2 = ((b - apex) . e1, (b - apex) . e2), entry k is the sign of
+        cross2(U2, d2_k) (see the module docstring), and a binary search of
+        U2 among the rim directions' angles about the line apex-a names the
+        state whose kept triangles were listed when the index was built.
+        The row decides as before when U2 = 0 (b on that line, so N = 0) and
+        when U2 lies on a rim direction's angle (apex, a, b and a rim point
+        coplanar); segments from other points always take the row.
+
         Each visited triangle is decided by the kernel's
         ``_contacts_from_signs``: the plane sides of a and b are integer dot
         products with the triangle's cached normal, and the edge signs of a
@@ -312,11 +448,17 @@ class FanDisk:
 
         va = (s.a - self.apex).irep
         vb = (s.b - self.apex).irep
-        row = _side_rows([icross(va, vb)], self._idirs)[0]
-        live = [i for i in range(len(self.triangles)) if row[i] == 1 or row[i] != row[i + 1]]
+        index = self._pencils.get(s.a.irep)
+        cull = index and _pencil_cull(index, vb)
+        if cull:
+            live, spoke = cull
+        else:
+            row = _side_rows([icross(va, vb)], self._idirs)[0]
+            live = [i for i in range(len(self.triangles)) if row[i] == 1 or row[i] != row[i + 1]]
+            spoke = lambda k: row[k] - 1
         for i in live:
             n, tri = self._inormals[i], self.triangles[i]
-            edges = lambda: (row[i] - 1, orient3d(s.a, s.b, tri.q, tri.r), 1 - row[i + 1])
+            edges = lambda: (spoke(i), orient3d(s.a, s.b, tri.q, tri.r), -spoke(i + 1))
             for c in _contacts_from_signs(s, tri, sign(idot(n, va)), sign(idot(n, vb)), edges):
                 add(i, c.kind, c.feature, c.point, c.seg)
                 if c.kind != "segment":

@@ -23,6 +23,12 @@ that one triangle.  The start changes only the order in which the
 independent route solves triangles, never its answer; a "no", and every
 other fast answer, is recomputed over the whole fan, and a disagreement
 raises.
+
+Both scans register their fixed anchors with
+:meth:`~plgraph.disks.FanDisk.index_endpoint` before fanning out (a1, c and
+b1 on the panel fan, c on the full cone), so the segments from them are
+culled by a binary search instead of a sign row, in the workers too; the
+answers are the same either way.
 """
 
 from __future__ import annotations
@@ -261,6 +267,8 @@ def verify_star(scene: Scene, cfg: Optional[SceneConfig] = None,
     """
     cfg = cfg or scene.config
     anchors = _anchor_data(scene)
+    for anchor, _feat in anchors:
+        scene.gamma_prime.index_endpoint(anchor)
     grid_points = cfg.grid.placements(scene.v, cfg.epsilon)
     placements = _parallel_map(_evaluate_placement, (scene, anchors), grid_points, threads)
     histogram: Dict[int, int] = {}
@@ -440,6 +448,7 @@ def check_equator_claim(scene: Scene, cfg: Optional[SceneConfig] = None,
             c_feature = ("rimvert", i)
             break
     samples = upper_sample_points(scene, sample_count)
+    delta.index_endpoint(scene.c)
     grid_points = cfg.grid.placements(scene.v, cfg.epsilon)
     rows = _parallel_map(_equator_row, (scene, c_feature, samples), grid_points, threads)
     rows = [row for row in rows if row is not None]

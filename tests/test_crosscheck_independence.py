@@ -21,7 +21,8 @@ IMPORTS_ALLOWED = {"FanDisk", "ExactPoint", "Segment"}
 FAST_ROUTE_NAMES = {"classify_segment", "orient3d", "icross", "idot", "sign",
                     "edge_sign_feature", "segment_triangle_contacts", "plane_crossing",
                     "locate_point", "edge_side", "_contacts_from_signs",
-                    "_plane_form", "_height", "_crossing", "_edge_forms"}
+                    "_plane_form", "_height", "_crossing", "_edge_forms",
+                    "index_endpoint"}
 # The fields of the fast route's DiskSegmentResult and SegmentStatus.
 FAST_RESULT_FIELDS = {"contacts", "witness", "kind", "status"}
 
