@@ -211,6 +211,26 @@ def _cones_share_direction(a, b, c, d) -> bool:
     return _in_cone(wn, a, b, n1) and _in_cone(wn, c, d, n2)
 
 
+def _first_meeting(i, side1, dirs1, side2, dirs2, js) -> Optional[int]:
+    """The first j in ``js`` whose triangle (apex, dirs2[j], dirs2[j + 1])
+    meets triangle (apex, dirs1[i], dirs1[i + 1]) away from their common
+    apex, or None: their direction cones share a direction.
+
+    ``side1[i]`` holds the signs of ``dirs2`` against triangle i's normal
+    and ``side2[j]`` those of ``dirs1`` against triangle j's, as
+    :func:`_side_rows` makes them.  A pair is apart when either triangle's
+    two directions lie strictly on one side of the other's plane; only the
+    rest reach :func:`_cones_share_direction`.
+    """
+    si, a, b = side1[i], dirs1[i], dirs1[i + 1]
+    for j in js:
+        sj = side2[j]
+        if (si[j] == 1 or si[j] != si[j + 1]) and (sj[i] == 1 or sj[i] != sj[i + 1]) \
+                and _cones_share_direction(a, b, dirs2[j], dirs2[j + 1]):
+            return j
+    return None
+
+
 class FanDisk:
     """A PL disk: an apex coned onto a rim polyline with straight triangles.
 
@@ -257,19 +277,6 @@ class FanDisk:
     def n_triangles(self) -> int:
         return len(self.triangles)
 
-    def rim_chord(self, i: int) -> Segment:
-        return Segment(self.rim[i], self.rim[(i + 1) % len(self.rim)])
-
-    def boundary_segments(self) -> List[Segment]:
-        """The disk's boundary as segments: the rim polyline plus, for open
-        fans, the two extreme spokes."""
-        m = len(self.rim)
-        segs = [self.rim_chord(i) for i in range(m if self.closed else m - 1)]
-        if not self.closed:
-            segs.append(Segment(self.apex, self.rim[0]))
-            segs.append(Segment(self.rim[m - 1], self.apex))
-        return segs
-
     def feature_is_interior(self, feature: DiskFeature) -> bool:
         kind = feature[0]
         if kind == "face":
@@ -287,13 +294,10 @@ class FanDisk:
     def _validate_embedded(self):
         """Every pair of fan triangles meets only in its shared features.
 
-        Triangles i and j share the apex, so they meet elsewhere exactly when
-        their direction cones share a direction.  ``side[i][k]`` is, once per
-        triangle, the sign (plus 1, one byte) of rim direction k against
-        triangle i's normal; triangle j spans columns j and j + 1 of
-        ``_idirs``.  A non-adjacent pair is apart when either triangle's two
-        rim directions lie strictly on one side of the other's plane, read
-        from the table; only the rest reach :func:`_cones_share_direction`.
+        Adjacent pairs go through :meth:`_check_adjacent`.  Every other pair
+        shares only the apex, so :func:`_first_meeting` decides it, with the
+        fan's own rows on both sides: ``side[i][k]`` is the sign of rim
+        direction k against triangle i's normal, made once per triangle.
         Pairs are decided in (i, j) order, so the first offending pair is the
         one reported.
         """
@@ -301,19 +305,16 @@ class FanDisk:
         count = len(self.triangles)
         side = _side_rows(self._inormals, cols)
         for i in range(count):
-            si = side[i]
             if i + 1 < count:
                 self._check_adjacent(i, i + 1)
             closing = self.closed and i == 0
-            unsettled = [j for j in range(i + 2, count - 1 if closing else count)
-                         if (si[j] == 1 or si[j] != si[j + 1])
-                         and (side[j][i] == 1 or side[j][i] != side[j][i + 1])]
-            for j in unsettled:
-                if _cones_share_direction(cols[i], cols[i + 1], cols[j], cols[j + 1]):
-                    raise FanConstructionError(
-                        "self-intersecting",
-                        ("triangles-meet", i, j, self._common_point_witness(i, j)),
-                    )
+            j = _first_meeting(i, side, cols, side, cols,
+                               range(i + 2, count - 1 if closing else count))
+            if j is not None:
+                raise FanConstructionError(
+                    "self-intersecting",
+                    ("triangles-meet", i, j, self._common_point_witness(i, j)),
+                )
             if closing:
                 self._check_adjacent(0, count - 1)
 
@@ -352,13 +353,16 @@ class FanDisk:
     # -- point location -----------------------------------------------------
 
     def locate_point(self, p: ExactPoint) -> Optional[DiskFeature]:
-        """Locate a point on the disk, or None if it is not on the carrier."""
+        """Locate a point on the disk, or None if it is not on the carrier.
+        Triangle i is tried only when p - apex is orthogonal to its cached
+        integer normal, the plane test :meth:`classify_segment` makes."""
         if p == self.apex:
             return ("apex",)
-        for i, t in enumerate(self.triangles):
-            if orient3d(t.p, t.q, t.r, p) != 0:
+        w = (p - self.apex).irep
+        for i, n in enumerate(self._inormals):
+            if idot(n, w) != 0:
                 continue
-            feat = _locate_in_plane(p, t)
+            feat = _locate_in_plane(p, self.triangles[i])
             if feat is None:
                 continue
             return self._map_feature(i, feat)
@@ -484,21 +488,6 @@ class FanDisk:
             "closed": self.closed,
         }
 
-    @classmethod
-    def from_jsonable(cls, obj: dict) -> "FanDisk":
-        from .jsonio import bool_from_json, point_from_json, points_from_json
-
-        if not isinstance(obj, dict):
-            raise ConfigError("fan document must be a JSON object", "fan")
-        for key in ("apex", "rim"):
-            if key not in obj:
-                raise ConfigError("missing required field", key)
-        return cls(
-            point_from_json(obj["apex"], "apex"),
-            points_from_json(obj["rim"], "rim"),
-            closed=bool_from_json(obj.get("closed", False), "closed"),
-        )
-
 
 def cone(apex: ExactPoint, rim: Sequence[ExactPoint], closed: bool = False) -> FanDisk:
     """Cone an apex onto a polyline with straight triangles, yielding a disk.
@@ -519,9 +508,6 @@ class DiskSegmentResult:
     contacts: Tuple[Contact, ...] = ()  # features are disk features
     witness: Optional[ExactPoint] = None
 
-    def boundary_features(self) -> Tuple[DiskFeature, ...]:
-        return tuple(c.feature for c in self.contacts)
-
 
 # ---------------------------------------------------------------------------
 # Disk / disk classification
@@ -529,81 +515,36 @@ class DiskSegmentResult:
 
 @dataclass(frozen=True)
 class DiskDiskResult:
-    kind: str  # 'disjoint' | 'single-point' | 'larger-intersection'
+    kind: str  # 'single-point' | 'larger-intersection'
     point: Optional[ExactPoint] = None
     on_boundary_1: Optional[bool] = None
     on_boundary_2: Optional[bool] = None
     witness: Optional[tuple] = None
 
 
-def _shared_apex_meeting(d1: FanDisk, d2: FanDisk) -> Optional[Tuple[int, int]]:
-    """Fan pair with a common apex: the first pair ``(i, j)`` of triangles
-    that meet away from the apex, or None.  They meet there iff their
-    direction cones share a direction, which is an exact integer test.
+def disk_disk_classify(d1: FanDisk, d2: FanDisk) -> DiskDiskResult:
+    """Exact classification of the intersection of two fans with a common
+    apex; fans with different apexes raise :class:`ConfigError` naming
+    ``apex``.
 
-    ``side1[i]`` holds the signs of d2's rim directions against d1's
-    triangle i, and ``side2[j]`` those of d1's rim directions against d2's
-    triangle j (rows as in :meth:`FanDisk._validate_embedded`).  A pair is
-    apart when either triangle's two rim directions lie strictly on one side
-    of the other's plane, read from the rows; only the rest reach
-    :func:`_cones_share_direction`.  Pairs are decided in (i, j) order.
+    The fans meet beyond the apex at the first triangle pair, in (i, j)
+    order, that :func:`_first_meeting` finds: a larger-intersection with
+    the witness ``(i, j, ev)``, ``ev`` their triangle/triangle intersection.
+    Otherwise they meet in the apex alone, which is interior exactly to a
+    closed fan.
     """
+    if d1.apex != d2.apex:
+        raise ConfigError("disk/disk classification needs fans with a common apex", "apex")
     dirs1, dirs2 = d1._idirs, d2._idirs
     side1 = _side_rows(d1._inormals, dirs2)
     side2 = _side_rows(d2._inormals, dirs1)
-    for i, si in enumerate(side1):
-        unsettled = [j for j, sj in enumerate(side2)
-                     if (si[j] == 1 or si[j] != si[j + 1])
-                     and (sj[i] == 1 or sj[i] != sj[i + 1])]
-        for j in unsettled:
-            if _cones_share_direction(dirs1[i], dirs1[i + 1], dirs2[j], dirs2[j + 1]):
-                return i, j
-    return None
-
-
-def disk_disk_classify(d1: FanDisk, d2: FanDisk) -> DiskDiskResult:
-    """Exact classification of the intersection of two fan disks.
-
-    single-point reports the common point and whether it lies on each disk's
-    boundary; anything bigger is larger-intersection with a witness.  Fans
-    with a common apex meet in the apex alone unless
-    :func:`_shared_apex_meeting` finds a pair; other fans are decided pair by
-    pair.  Either way a single point reaches one tail that locates it on
-    both disks.
-    """
-    found_point: Optional[ExactPoint] = None
-    if d1.apex == d2.apex:
-        pair = _shared_apex_meeting(d1, d2)
-        if pair is not None:
-            i, j = pair
+    for i in range(d1.n_triangles):
+        j = _first_meeting(i, side1, dirs1, side2, dirs2, range(d2.n_triangles))
+        if j is not None:
             ev = triangle_triangle_intersection(d1.triangles[i], d2.triangles[j])
             return DiskDiskResult("larger-intersection", witness=(i, j, ev))
-        found_point = d1.apex
-    else:
-        for i, t1 in enumerate(d1.triangles):
-            for j, t2 in enumerate(d2.triangles):
-                ev = triangle_triangle_intersection(t1, t2)
-                if ev[0] == "empty":
-                    continue
-                if ev[0] != "point":
-                    return DiskDiskResult("larger-intersection", witness=(i, j, ev))
-                p = ev[1]
-                if found_point is None:
-                    found_point = p
-                elif found_point != p:
-                    return DiskDiskResult(
-                        "larger-intersection", witness=(i, j, ("two-points", found_point, p))
-                    )
-        if found_point is None:
-            return DiskDiskResult("disjoint")
-    f1 = d1.locate_point(found_point)
-    f2 = d2.locate_point(found_point)
-    return DiskDiskResult(
-        "single-point",
-        point=found_point,
-        on_boundary_1=not d1.feature_is_interior(f1),
-        on_boundary_2=not d2.feature_is_interior(f2),
-    )
+    return DiskDiskResult("single-point", point=d1.apex,
+                          on_boundary_1=not d1.closed, on_boundary_2=not d2.closed)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ route before the summary is trusted.
 ``check_equator_claim`` tests the cone over the full curve: for placements
 whose bottom-anchor segment misses that cone entirely (beyond the structural
 touch), every sampled near-sphere point with z above the center must send a
-segment through the cone's interior.  Every such pair is re-verified.
+segment through the cone's interior.  Every such pair's interior answer is
+re-verified, and so is every pair the fast route calls boundary-only: that
+split from "disjoint" decides whether a pair is a counter-pair.  The premise
+test, and that split for the pairs the fast route calls disjoint, are not.
 
 The recheck is :mod:`plgraph.crosscheck`, which shares no predicate with the
 fast route.  A "meets the interior" answer needs one checked witness, not a
@@ -418,7 +421,12 @@ def _equator_row(scene: Scene, c_feature, samples, k: int, x: ExactPoint):
         }
         if res.kind == "boundary-only":
             # A measure-zero graze of the disk's boundary says nothing
-            # about its interior; reported, but not a counterexample.
+            # about its interior; reported, but not a counterexample.  A
+            # disjoint pair would be one, so the graze is rechecked.
+            meets, features, _w = crosscheck.fan_contact_features(delta, seg)
+            if meets or not features:
+                raise AssertionError(f"independent recheck disagrees on pair {k}: boundary-only "
+                                     f"vs meets-interior={meets}, features={sorted(features)}")
             rec["features"] = [_feature_jsonable(c.feature) for c in res.contacts]
             degenerate.append(rec)
         else:

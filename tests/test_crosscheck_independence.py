@@ -22,7 +22,8 @@ FAST_ROUTE_NAMES = {"classify_segment", "orient3d", "icross", "idot", "sign",
                     "edge_sign_feature", "segment_triangle_contacts", "plane_crossing",
                     "locate_point", "edge_side", "_contacts_from_signs",
                     "_plane_form", "_height", "_crossing", "_edge_forms",
-                    "index_endpoint"}
+                    "index_endpoint", "_first_meeting", "_side_rows",
+                    "_cones_share_direction", "_pencil_index", "_pencil_cull"}
 # The fields of the fast route's DiskSegmentResult and SegmentStatus.
 FAST_RESULT_FIELDS = {"contacts", "witness", "kind", "status"}
 
@@ -70,7 +71,7 @@ def test_the_walk_finds_each_kind_of_dependence():
         "kind = res.kind if st.status else res.contacts[0].witness\n"
     )
     assert dependence(source) == [
-        (1, "import _side_rows"), (2, "import orient3d"), (2, "orient3d"),
+        (1, "_side_rows"), (1, "import _side_rows"), (2, "import orient3d"), (2, "orient3d"),
         (3, "import plgraph.disks"), (4, "._idirs"), (5, "classify_segment"),
         (6, "sign"), (7, "idot"), (8, "icross"), (9, ".irep"),
         (10, "locate_point"), (10, "segment_triangle_contacts"),

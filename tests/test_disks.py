@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from plgraph import disks
 from plgraph.crosscheck import fan_contact_features, panel_check_bruteforce
 from plgraph.disks import (
     FanDisk,
@@ -20,8 +21,10 @@ from plgraph.exactgeom import (
     ExactPoint,
     Segment,
     Triangle,
+    _locate_in_plane,
     icross,
     idot,
+    orient3d,
     segment_segment_classify,
     sign,
     triangle_triangle_intersection,
@@ -79,16 +82,6 @@ class TestCone:
         assert d.feature_is_interior(("apex",))
         assert d.feature_is_interior(("spoke", 0))
         assert not d.feature_is_interior(("rim", 0))
-
-    def test_boundary_segments(self):
-        d = cone(O, [P(1, 0, 0), P(0, 1, 0), P(0, 0, 1)])
-        segs = d.boundary_segments()
-        # Rim polyline plus the two extreme spokes for an open fan.
-        assert len(segs) == 4
-        assert segs[-2].a == O and segs[-1].b == O
-        closed = cone(O, [P(2, 0, 0), P(0, 2, 0), P(-2, 0, 0), P(0, -2, 0)],
-                      closed=True)
-        assert len(closed.boundary_segments()) == 4
 
 
 def reference_fan_offender(apex, rim, closed):
@@ -184,6 +177,99 @@ def test_shared_apex_classification_matches_pairwise_reference(closed):
     assert outcomes == {"single-point", "larger-intersection"}
 
 
+LATTICE = [P(x, y, z) for x in range(-2, 3) for y in range(-2, 3) for z in range(-1, 2)]
+
+
+def lattice_fans(closed, seeds):
+    """``(rng, fan)`` for each of ``seeds`` seeded lattice fans that
+    constructs; about a third of them are flat (all in z = 0)."""
+    for seed in range(seeds):
+        rng = random.Random(seed)
+        apex = rng.choice((O, P(0, 0, -1), P(Fraction(1, 2), 0, Fraction(-1, 3))))
+        rim = rng.sample(LATTICE, rng.randint(3, 9))
+        if rng.random() < 0.3:
+            rim = [P(p.x, p.y, 0) for p in rim]
+            apex = P(apex.x, apex.y, 0)
+        try:
+            fan = cone(apex, rim, closed=closed)
+        except FanConstructionError:
+            continue
+        yield rng, fan
+
+
+def _apart(n, u, w) -> bool:
+    """Do integer directions u and w lie strictly on one side of normal n?"""
+    return sign(idot(n, u)) == sign(idot(n, w)) != 0
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_only_pairs_no_row_settles_reach_the_cone_test(closed, monkeypatch):
+    """In fan validation and in disk/disk classification, a triangle pair
+    reaches _cones_share_direction only when neither triangle's two rim
+    directions lie strictly on one side of the other's plane.  The fans
+    hold pairs that each of the two row tests alone settles."""
+    reached = []
+
+    def recording(a, b, c, d):
+        reached.append((a, b, c, d))
+        return _cones_share_direction(a, b, c, d)
+
+    monkeypatch.setattr(disks, "_cones_share_direction", recording)
+    fans, only = [], {1: 0, 2: 0}
+    for _rng, fan in lattice_fans(closed, 300):
+        fans.append(fan)
+        dirs = fan._idirs
+        for i in range(fan.n_triangles):
+            for j in range(i + 2, fan.n_triangles):
+                first = _apart(icross(dirs[i], dirs[i + 1]), dirs[j], dirs[j + 1])
+                second = _apart(icross(dirs[j], dirs[j + 1]), dirs[i], dirs[i + 1])
+                if first != second:
+                    only[1 if first else 2] += 1
+    for d1, d2 in zip(fans, fans[1:]):
+        if d1.apex == d2.apex:
+            disk_disk_classify(d1, d2)
+    assert min(only.values()) > 0 and reached
+    for a, b, c, d in reached:
+        assert not _apart(icross(a, b), c, d) and not _apart(icross(c, d), a, b)
+
+
+def reference_locate_point(fan, p):
+    """A point's disk feature with one orient3d plane test per triangle,
+    as FanDisk.locate_point once made it."""
+    if p == fan.apex:
+        return ("apex",)
+    for i, t in enumerate(fan.triangles):
+        if orient3d(t.p, t.q, t.r, p) != 0:
+            continue
+        feat = _locate_in_plane(p, t)
+        if feat is not None:
+            return fan._map_feature(i, feat)
+    return None
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_locate_point_matches_orient3d_reference(closed):
+    """Seeded lattice fans, flat ones included, against points on every
+    disk feature, on spoke lines beyond the rim, off the carrier and at
+    random half-lattice points."""
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    kinds = set()
+    for rng, fan in lattice_fans(closed, 200):
+        pts = [fan.apex]
+        for r in fan.rim:
+            spoke = r - fan.apex
+            pts += [r, fan.apex + spoke.scale(half), fan.apex + spoke.scale(2)]
+        for t in fan.triangles:
+            centroid = (t.p + t.q + t.r).scale(third)
+            pts += [t.q + (t.r - t.q).scale(half), centroid, centroid + t.normal]
+        pts += [P(*(Fraction(rng.randint(-4, 4), 2) for _ in range(3))) for _ in range(20)]
+        for p in pts:
+            got = fan.locate_point(p)
+            assert got == reference_locate_point(fan, p), (fan.apex, fan.rim, p)
+            kinds.add(got and got[0])
+    assert kinds == {None, "apex", "rimvert", "spoke", "rim", "face"}
+
+
 FAN = cone(O, [P(1, 0, 0), P(0, 1, 0)])
 
 
@@ -198,7 +284,7 @@ class TestDiskSegment:
     def test_apex_is_boundary_of_open_fan(self):
         r = FAN.classify_segment(Segment(P(0, 0, -1), P(0, 0, 1)))
         assert r.kind == "boundary-only"
-        assert r.boundary_features() == (("apex",),)
+        assert tuple(c.feature for c in r.contacts) == (("apex",),)
 
     def test_far_segment_disjoint(self):
         r = FAN.classify_segment(Segment(P(5, 5, -1), P(5, 5, 1)))
@@ -215,7 +301,7 @@ class TestDiskSegment:
         d = cone(O, [P(2, 0, 0), P(0, 2, 0), P(-2, 0, 0)])
         r = d.classify_segment(Segment(P(1, 0, -1), P(1, 0, 1)))
         assert r.kind == "boundary-only"
-        assert r.boundary_features() == (("spoke", 0),)
+        assert tuple(c.feature for c in r.contacts) == (("spoke", 0),)
 
     def test_apex_of_closed_fan_is_interior(self):
         d = cone(O, [P(2, 0, 0), P(0, 2, 0), P(-2, 0, 0), P(0, -2, 0)], closed=True)
@@ -257,29 +343,6 @@ class TestDiskSegment:
                     for c in res.contacts
                 )
                 assert ({"interior-cross", "coplanar-overlap"} & per_tri) or spoke_hit
-
-    def test_json_round_trip(self):
-        d = cone(O, [sphere_point(35 + 11 * k, 30 * k) for k in range(5)])
-        back = FanDisk.from_jsonable(d.to_jsonable())
-        assert back.apex == d.apex and back.rim == d.rim and back.closed == d.closed
-
-    @pytest.mark.parametrize("edit, field", [
-        (lambda doc: [doc], "fan"),
-        (lambda doc: {"rim": doc["rim"]}, "apex"),
-        (lambda doc: {"apex": doc["apex"]}, "rim"),
-        (lambda doc: {**doc, "rim": 5}, "rim"),
-        (lambda doc: {**doc, "apex": doc["apex"][:2]}, "apex"),
-        (lambda doc: {**doc, "rim": doc["rim"][:1] + [[[1, 2]]]}, "rim[1]"),
-        (lambda doc: {**doc, "closed": "false"}, "closed"),
-        (lambda doc: {**doc, "closed": 1}, "closed"),
-        (lambda doc: {**doc, "closed": None}, "closed"),
-    ], ids=["not-an-object", "no-apex", "no-rim", "rim-not-a-list", "bad-apex",
-            "bad-rim-point", "closed-string", "closed-int", "closed-null"])
-    def test_json_errors_name_the_field(self, edit, field):
-        doc = cone(O, [sphere_point(35 + 11 * k, 30 * k) for k in range(5)]).to_jsonable()
-        with pytest.raises(ConfigError) as err:
-            FanDisk.from_jsonable(edit(doc))
-        assert err.value.field == field
 
     @pytest.mark.parametrize("closed", [False, True])
     def test_degenerate_configurations_match_independent_route(self, closed):
@@ -324,38 +387,30 @@ class TestDiskDisk:
         assert r.point == O
         assert r.on_boundary_1 and r.on_boundary_2
 
-    def test_coplanar_overlapping_fans(self):
+    def test_distinct_apexes_rejected(self):
         d1 = cone(O, [P(2, 0, 0), P(0, 2, 0)])
-        d2 = cone(P(1, 0, 0), [P(3, 0, 0), P(0, 3, 0)])
-        assert disk_disk_classify(d1, d2).kind == "larger-intersection"
-
-    def test_disjoint_fans(self):
-        d1 = cone(O, [P(1, 0, 0), P(0, 1, 0)])
-        d2 = cone(P(0, 0, 5), [P(1, 0, 5), P(0, 1, 5)])
-        assert disk_disk_classify(d1, d2).kind == "disjoint"
+        d2 = cone(P(1, 1, 0), [P(1, 1, 2), P(2, 2, 2)])
+        for a, b in ((d1, d2), (d2, d1)):
+            with pytest.raises(ConfigError) as err:
+                disk_disk_classify(a, b)
+            assert err.value.field == "apex"
 
     def test_symmetry(self):
         cases = [
             (cone(O, [P(1, 0, 1), P(0, 1, 1)]), cone(O, [P(-1, 0, -1), P(0, -1, -1)])),
-            (cone(O, [P(2, 0, 0), P(0, 2, 0)]), cone(P(1, 0, 0), [P(3, 0, 0), P(0, 3, 0)])),
-            (cone(O, [P(1, 0, 0), P(0, 1, 0)]), cone(P(0, 0, 5), [P(1, 0, 5), P(0, 1, 5)])),
+            (cone(O, [P(2, 0, 0), P(0, 2, 0)]), cone(O, [P(3, 1, 0), P(1, 3, 0)])),
         ]
+        kinds = []
         for d1, d2 in cases:
             r12 = disk_disk_classify(d1, d2)
             r21 = disk_disk_classify(d2, d1)
             assert r12.kind == r21.kind
+            kinds.append(r12.kind)
             if r12.kind == "single-point":
                 assert r12.point == r21.point
                 assert (r12.on_boundary_1, r12.on_boundary_2) == (
                     r21.on_boundary_2, r21.on_boundary_1)
-
-    def test_distinct_apexes_single_point(self):
-        d1 = cone(O, [P(2, 0, 0), P(0, 2, 0)])
-        d2 = cone(P(1, 1, 0), [P(1, 1, 2), P(2, 2, 2)])
-        r = disk_disk_classify(d1, d2)
-        assert r.kind == "single-point"
-        assert r.point == P(1, 1, 0)
-
+        assert kinds == ["single-point", "larger-intersection"]
 
 def square_panel_fixture():
     sq = [P(0, 0, 0), P(2, 0, 0), P(2, 2, 0), P(0, 2, 0)]
@@ -410,6 +465,24 @@ class TestPanelCheck:
     def test_matches_bruteforce_on_fixture(self):
         d, emb, cycle = square_panel_fixture()
         assert panel_check_bruteforce(d, emb, cycle)[0] == "paneled"
+
+    def test_vertex_at_closed_fan_apex_violates_in_both_routes(self):
+        d, emb, cycle = square_panel_fixture()
+        g = SpatialGraph([0, 1, 2, 3, 9], [(0, 1), (1, 2), (2, 3), (3, 0)])
+        emb2 = LinearEmbedding(g, {**emb.position, 9: d.apex})
+        res = panel_check(d, emb2, cycle)
+        want = ("violated", ("vertex", 9, ("apex",), d.apex))
+        assert (res.kind, res.witness) == panel_check_bruteforce(d, emb2, cycle) == want
+
+    @pytest.mark.parametrize("cycle, message", [
+        ([0, 1], "at least 3"),
+        ([0, 1, 2, 1], "revisits"),
+        ([0, 1, 3, 2], "not a graph edge"),
+    ], ids=["too-short", "revisits", "not-an-edge"])
+    def test_malformed_cycle_is_boundary_mismatch(self, cycle, message):
+        d, emb, _cycle = square_panel_fixture()
+        with pytest.raises(BoundaryMismatchError, match=message):
+            panel_check(d, emb, cycle)
 
 
 class TestTriPatch:

@@ -53,7 +53,7 @@ def test_every_route_reports_the_feature(x, tri_feat, disk_feat, interior, how):
     assert [(c.kind, c.feature, c.point) for c in contacts] == [("point", tri_feat, x)]
 
     res = FAN.classify_segment(seg)
-    assert res.boundary_features() == (disk_feat,)
+    assert tuple(c.feature for c in res.contacts) == (disk_feat,)
     assert res.contacts[0].point == x
     assert res.kind == ("meets-interior" if interior else "boundary-only")
     assert res.witness == (x if interior else None)

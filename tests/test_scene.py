@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from plgraph import crosscheck
-from plgraph.disks import disk_disk_classify
+from plgraph.disks import DiskSegmentResult, disk_disk_classify
 from plgraph.errors import ConfigError, SceneInvariantViolation, SpliceMismatchError
-from plgraph.exactgeom import ExactPoint, Segment
+from plgraph.exactgeom import Contact, ExactPoint, Segment
 from plgraph.graphs import LinearEmbedding, SpatialGraph, validate_embedding
 from plgraph.jsonio import canonical_dumps
 from plgraph.linking import MAX_CYCLE_LEN, pairwise_link_scan
@@ -419,6 +419,26 @@ class TestIndependentRecheck:
         with pytest.raises(AssertionError, match="independent recheck disagrees"):
             check_equator_claim(control_scene, sample_count=5)
 
+    def test_a_disjoint_pair_called_boundary_only_raises(self, control_scene, control_equator,
+                                                         monkeypatch):
+        """The boundary-only/disjoint split of an equator pair decides
+        whether it is a counter-pair, so a fast route that calls a disjoint
+        pair boundary-only is caught."""
+        scene, delta = control_scene, control_scene.delta_disk
+        assert control_equator.value.counter_pairs
+        classify = delta.classify_segment
+        graze = (Contact("point", ("rimvert", 0), delta.rim[0]),)
+
+        def grazing(seg):
+            res = classify(seg)
+            if seg.a == scene.c or res.kind != "disjoint":
+                return res
+            return DiskSegmentResult("boundary-only", graze)
+
+        monkeypatch.setattr(delta, "classify_segment", grazing)
+        with pytest.raises(AssertionError, match="independent recheck disagrees"):
+            check_equator_claim(scene, sample_count=5)
+
 
 def _two_triangles():
     g = SpatialGraph(range(6), [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
@@ -571,6 +591,23 @@ class TestDeltaPrime:
         centroid = (tri.p + tri.q + tri.r).scale(Fraction(1, 3))
         seg = Segment(centroid.scale(Fraction(1, 2)), centroid.scale(Fraction(3, 2)))
         assert segment_meets_delta_prime_interior(control_scene, seg)
+
+    @pytest.mark.parametrize("kind, offset, meets", [
+        ("rim", 0, True), ("rimvert", 1, True), ("rimvert", 0, False), ("rim", -1, False),
+    ], ids=["first-arc-chord", "inner-arc-vertex", "arc-end-vertex", "chord-before-arc"])
+    def test_open_glue_arc_counts_as_union_interior(self, control_scene, kind, offset, meets):
+        """A segment radially out from the center that touches the full
+        cone only at one rim feature meets the union's interior exactly when
+        that feature lies on the open glue arc: a chord of ``eta_range`` or
+        a rim vertex strictly inside it."""
+        d, v = control_scene.delta_disk, control_scene.v
+        i = control_scene.config.eta_range[0] + offset
+        q = d.rim[i] if kind == "rimvert" else \
+            d.rim[i] + (d.rim[i + 1] - d.rim[i]).scale(Fraction(1, 2))
+        seg = Segment(q, v + (q - v).scale(2))
+        res = d.classify_segment(seg)
+        assert (res.kind, [c.feature for c in res.contacts]) == ("boundary-only", [(kind, i)])
+        assert segment_meets_delta_prime_interior(control_scene, seg) == meets
 
     def test_far_segment_misses_union(self, control_scene):
         seg = Segment(P(5, 5, 5), P(6, 6, 6))
