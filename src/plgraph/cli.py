@@ -26,6 +26,7 @@ from .jsonio import content_hash, embedding_from_json, write_canonical
 from .linking import MAX_CYCLE_LEN, pairwise_link_scan
 from .meshio import write_obj
 from .scene import (
+    MAX_CURVE_POINTS,
     MAX_GRID_FREQUENCY,
     MAX_GRID_SHELLS,
     MAX_N,
@@ -169,7 +170,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_config_opts(p, grid=True):
-        p.add_argument("--config", help="scene config JSON path")
+        p.add_argument("--config",
+                       help="scene config JSON path; the curves alpha, eta_prime and "
+                            f"beta hold 2 to {MAX_CURVE_POINTS} points each")
         p.add_argument("--demo", action="store_true",
                        help="use the built-in default configuration")
         if grid:

@@ -24,6 +24,13 @@ plane coordinates w2 = (w . e1, w . e2), and
 for U = x - apex and a rim direction d, so the sign of one 2-D cross
 product is the sign of d against the plane's normal A x U.  The general
 path computes the signs as one row of dot products with that normal.
+
+Two triangles with a common apex meet away from it exactly when their
+direction cones share a direction.  Fan validation and the disk/disk check
+decide that only for the pairs whose cube-surface boxes meet: each cone's
+image on the surface of the cube [-1, 1]^3 is boxed on the touch rule's
+integer grid (``_cone_boxes``), and one box sweep (``exactgeom._box_pairs``)
+lists the pairs of boxes that meet.
 """
 
 from __future__ import annotations
@@ -42,10 +49,12 @@ from .errors import (
     PatchConstructionError,
 )
 from .exactgeom import (
+    _BOX_GRID,
     Contact,
     ExactPoint,
     Segment,
     Triangle,
+    _box_pairs,
     _contacts_from_signs,
     _locate_in_plane,
     collinear,
@@ -78,7 +87,8 @@ def _in_cone(w, a, b, n) -> bool:
 
 def _side_rows(normals, dirs) -> List[bytes]:
     """One ``bytes`` row per integer normal: the sign (plus 1) of each
-    integer direction in ``dirs`` against it."""
+    integer direction in ``dirs`` against it.  :meth:`FanDisk.classify_segment`
+    culls a segment's triangles with the row of its plane's normal."""
     return [bytes([(v > 0) - (v < 0) + 1 for v in
                    [n0 * x + n1 * y + n2 * z for x, y, z, _ in dirs]])
             for n0, n1, n2 in normals]
@@ -211,22 +221,76 @@ def _cones_share_direction(a, b, c, d) -> bool:
     return _in_cone(wn, a, b, n1) and _in_cone(wn, c, d, n2)
 
 
-def _first_meeting(i, side1, dirs1, side2, dirs2, js) -> Optional[int]:
+# The planes x = +-y, y = +-z and z = +-x: a direction's largest coordinate,
+# and so its face of the cube [-1, 1]^3, changes only on one of them.
+_FACE_PLANES = ((1, -1, 0), (1, 1, 0), (0, 1, -1), (0, 1, 1), (-1, 0, 1), (1, 0, 1))
+
+
+def _cube_image(w) -> tuple:
+    """The box of w / max|w_k|, the point where the integer direction w
+    leaves the cube [-1, 1]^3, rounded outward to the grid of multiples of
+    ``1 / _BOX_GRID`` as ``(x_lo, x_hi, y_lo, y_hi, z_lo, z_hi)``.  Where
+    w_k = +max, the low entry ``box[2k]`` is ``_BOX_GRID``; where w_k = -max,
+    the high entry ``box[2k + 1]`` is ``-_BOX_GRID``."""
+    m = max(abs(w[0]), abs(w[1]), abs(w[2]))
+    x, y, z = w[0] * _BOX_GRID, w[1] * _BOX_GRID, w[2] * _BOX_GRID
+    return (x // m, -(-x // m), y // m, -(-y // m), z // m, -(-z // m))
+
+
+def _cone_boxes(dirs) -> List[tuple]:
+    """One integer box per triangle i, holding the cube-surface image of the
+    cone spanned by the integer directions ``dirs[i]`` and ``dirs[i + 1]``,
+    on the touch rule's grid.
+
+    The image runs straight between breakpoints, where the cone passes from
+    one closed cube face to the next, so the box of its two ends and its
+    breakpoints holds it.  When both directions lie in one closed face (one
+    coordinate is +max for both, or -max for both), the cone stays in it and
+    the ends are enough.  Otherwise the breakpoints are among the crossings
+    with the planes ``_FACE_PLANES``: for a normal q with q . d and q . e of
+    strictly opposite signs, sign(q . d) ((q . d) e - (q . e) d) is an integer
+    vector of the cone on that plane.  Two cones that share a direction share
+    its image point, so their boxes meet.
+    """
+    images = [_cube_image(w) for w in dirs]
+    top = (_BOX_GRID, -_BOX_GRID) * 3
+    boxes = []
+    for i in range(len(dirs) - 1):
+        u, w = images[i], images[i + 1]
+        pts = [u, w]
+        if not any(u[k] == w[k] == top[k] for k in range(6)):
+            d, e = dirs[i], dirs[i + 1]
+            for q in _FACE_PLANES:
+                s, t = idot(q, d), idot(q, e)
+                if s * t < 0:
+                    f = 1 if s > 0 else -1
+                    pts.append(_cube_image([f * (s * e[k] - t * d[k]) for k in range(3)]))
+        c = list(zip(*pts))
+        boxes.append((min(c[0]), max(c[1]), min(c[2]), max(c[3]), min(c[4]), max(c[5])))
+    return boxes
+
+
+def _first_meeting(i, normals1, dirs1, normals2, dirs2, js) -> Optional[int]:
     """The first j in ``js`` whose triangle (apex, dirs2[j], dirs2[j + 1])
     meets triangle (apex, dirs1[i], dirs1[i + 1]) away from their common
     apex, or None: their direction cones share a direction.
 
-    ``side1[i]`` holds the signs of ``dirs2`` against triangle i's normal
-    and ``side2[j]`` those of ``dirs1`` against triangle j's, as
-    :func:`_side_rows` makes them.  A pair is apart when either triangle's
-    two directions lie strictly on one side of the other's plane; only the
-    rest reach :func:`_cones_share_direction`.
+    ``normals1[i]`` and ``normals2[j]`` are the two triangles' cached
+    integer normals.  A pair is apart when either triangle's two directions
+    lie strictly on one side of the other's plane, which four integer dots
+    decide; only the rest reach :func:`_cones_share_direction`.  Callers
+    pass as ``js`` the candidates of a box sweep over :func:`_cone_boxes`,
+    in ascending order; the triangles it leaves out cannot meet triangle i.
     """
-    si, a, b = side1[i], dirs1[i], dirs1[i + 1]
+    n, a, b = normals1[i], dirs1[i], dirs1[i + 1]
     for j in js:
-        sj = side2[j]
-        if (si[j] == 1 or si[j] != si[j + 1]) and (sj[i] == 1 or sj[i] != sj[i + 1]) \
-                and _cones_share_direction(a, b, dirs2[j], dirs2[j + 1]):
+        c, d = dirs2[j], dirs2[j + 1]
+        if idot(n, c) * idot(n, d) > 0:
+            continue
+        m = normals2[j]
+        if idot(m, a) * idot(m, b) > 0:
+            continue
+        if _cones_share_direction(a, b, c, d):
             return j
     return None
 
@@ -269,6 +333,8 @@ class FanDisk:
                 raise FanConstructionError("degenerate-triangle", ("chord-through-apex", i))
             self._inormals.append(n)
             self.triangles.append(Triangle(apex, rim[i], rim[(i + 1) % m]))
+        # Triangle i's cube-surface box (see _cone_boxes), for the box sweeps.
+        self._boxes = _cone_boxes(self._idirs)
         self._validate_embedded()
 
     # -- structure ---------------------------------------------------------
@@ -295,21 +361,22 @@ class FanDisk:
         """Every pair of fan triangles meets only in its shared features.
 
         Adjacent pairs go through :meth:`_check_adjacent`.  Every other pair
-        shares only the apex, so :func:`_first_meeting` decides it, with the
-        fan's own rows on both sides: ``side[i][k]`` is the sign of rim
-        direction k against triangle i's normal, made once per triangle.
-        Pairs are decided in (i, j) order, so the first offending pair is the
-        one reported.
+        shares only the apex, so :func:`_first_meeting` decides it, and only
+        when a box sweep (``_box_pairs``) over the cube-surface boxes of the
+        triangles' direction cones (:func:`_cone_boxes`) lists it: a pair
+        whose boxes are apart shares no direction.  Pairs are decided in
+        (i, j) order, so the first offending pair is the one reported.
         """
-        cols = self._idirs
+        cols, normals = self._idirs, self._inormals
         count = len(self.triangles)
-        side = _side_rows(self._inormals, cols)
+        pairs = _box_pairs(self._boxes)
         for i in range(count):
             if i + 1 < count:
                 self._check_adjacent(i, i + 1)
             closing = self.closed and i == 0
-            j = _first_meeting(i, side, cols, side, cols,
-                               range(i + 2, count - 1 if closing else count))
+            stop = count - 1 if closing else count
+            j = _first_meeting(i, normals, cols, normals, cols,
+                               [j for j in pairs[i] if i + 2 <= j < stop])
             if j is not None:
                 raise FanConstructionError(
                     "self-intersecting",
@@ -531,15 +598,16 @@ def disk_disk_classify(d1: FanDisk, d2: FanDisk) -> DiskDiskResult:
     order, that :func:`_first_meeting` finds: a larger-intersection with
     the witness ``(i, j, ev)``, ``ev`` their triangle/triangle intersection.
     Otherwise they meet in the apex alone, which is interior exactly to a
-    closed fan.
+    closed fan.  Only the pairs whose cube-surface cone boxes
+    (:func:`_cone_boxes`) meet, as one box sweep across the two fans lists
+    them, are decided; the others share no direction.
     """
     if d1.apex != d2.apex:
         raise ConfigError("disk/disk classification needs fans with a common apex", "apex")
     dirs1, dirs2 = d1._idirs, d2._idirs
-    side1 = _side_rows(d1._inormals, dirs2)
-    side2 = _side_rows(d2._inormals, dirs1)
-    for i in range(d1.n_triangles):
-        j = _first_meeting(i, side1, dirs1, side2, dirs2, range(d2.n_triangles))
+    pairs = _box_pairs(d1._boxes, d2._boxes)
+    for i, js in enumerate(pairs):
+        j = _first_meeting(i, d1._inormals, dirs1, d2._inormals, dirs2, js)
         if j is not None:
             ev = triangle_triangle_intersection(d1.triangles[i], d2.triangles[j])
             return DiskDiskResult("larger-intersection", witness=(i, j, ev))

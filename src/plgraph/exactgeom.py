@@ -22,8 +22,11 @@ One touch rule serves polylines, polygons and graph embeddings
 (``segment_contact``): each segment names its two endpoints (point indices,
 or vertex ids), two segments of one set may meet only at the endpoint they
 both name, and segments of two sets may not meet at all.  Bounding boxes are
-rounded outward to one fixed grid and compared as integers, and a pair that
-names a common endpoint is decided by an integer ray test from that endpoint.
+rounded outward to one fixed grid, one sort-and-sweep over them as integers
+(``_box_pairs``) lists the pairs whose boxes meet, and only those are
+decided; a pair that names a common endpoint is decided by an integer ray
+test from that endpoint.  Fan validation sweeps boxes on the same grid
+(``disks._cone_boxes``).
 """
 
 from __future__ import annotations
@@ -382,6 +385,43 @@ def boxed_segment(seg: Segment, ends: tuple) -> tuple:
     return seg, ends, tuple(box)
 
 
+def _box_pairs(boxes: Sequence[tuple], others: Optional[Sequence[tuple]] = None) -> list:
+    """For each integer box ``(x_lo, x_hi, y_lo, y_hi, z_lo, z_hi)`` of
+    ``boxes``, the ascending indices j of the boxes whose closed box meets
+    it: the boxes j > i of the same set when ``others`` is None, and every
+    box j of ``others`` otherwise.
+
+    One sort-and-sweep: the boxes of both sets are sorted by ``x_lo``, and
+    each box is compared with the boxes after it for as long as their
+    ``x_lo`` is at most its ``x_hi``; the x intervals of any other later box
+    are apart.  Only those candidates have their y and z intervals tested.
+    """
+    allb = list(boxes) if others is None else [*boxes, *others]
+    n, total = len(boxes), len(allb)
+    order = sorted(range(total), key=[b[0] for b in allb].__getitem__)
+    pairs = [[] for _ in range(n)]
+    for p, k in enumerate(order):
+        _, x1, y0, y1, z0, z1 = allb[k]
+        for q in range(p + 1, total):
+            j = order[q]
+            b = allb[j]
+            if b[0] > x1:
+                break
+            if b[2] <= y1 and y0 <= b[3] and b[4] <= z1 and z0 <= b[5]:
+                if others is None:
+                    if k < j:
+                        pairs[k].append(j)
+                    else:
+                        pairs[j].append(k)
+                elif k < n <= j:
+                    pairs[k].append(j - n)
+                elif j < n <= k:
+                    pairs[j].append(k - n)
+    for js in pairs:
+        js.sort()
+    return pairs
+
+
 def polyline_segments(points: Sequence[ExactPoint], closed: bool = False) -> list:
     """A polyline's boxed segments: segment i runs from point i to point i+1
     (a closed polyline's last one back to point 0) and names them by index."""
@@ -399,7 +439,8 @@ def segment_contact(segs: Sequence[tuple], others: Optional[Sequence[tuple]] = N
     (segment i of ``segs``, j of ``others``), they may not meet at all.
     Pairs whose bounding boxes are apart are disjoint; the boxes are compared
     as stored, rounded outward to one fixed grid, so no meeting pair is
-    missed.  A pair whose boxes meet is decided exactly.  Both segments of a
+    missed.  One box sweep (:func:`_box_pairs`) lists the pairs whose boxes
+    meet, and only those are decided, exactly.  Both segments of a
     pair that names a common endpoint p leave p (so their boxes meet), and
     they meet beyond it exactly when their other endpoints lie on the same
     ray from p: an integer test on the differences, with classification run
@@ -407,15 +448,12 @@ def segment_contact(segs: Sequence[tuple], others: Optional[Sequence[tuple]] = N
     ``(i, j, result)`` for the first offender in (i, j) order, or None.
     """
     same = others is None
+    pairs = _box_pairs([box for _, _, box in segs],
+                       None if same else [box for _, _, box in others])
     if same:
         others = segs
-    jbox = [box for _, _, box in others]
-    for i, (s, (sa, sb), (x0, x1, y0, y1, z0, z1)) in enumerate(segs):
-        lo = i + 1 if same else 0
-        near = [j for j, b in enumerate(jbox[lo:], lo)
-                if b[0] <= x1 and x0 <= b[1] and b[2] <= y1 and y0 <= b[3]
-                and b[4] <= z1 and z0 <= b[5]]
-        for j in near:
+    for i, (s, (sa, sb), _) in enumerate(segs):
+        for j in pairs[i]:
             t, (ta, tb), _ = others[j]
             if same and (sa == ta or sa == tb or sb == ta or sb == tb):
                 p, q = (s.a, s.b) if sa == ta or sa == tb else (s.b, s.a)

@@ -45,8 +45,13 @@ MAX_GRID_FREQUENCY = 48
 # at most 368,672 placements.
 MAX_GRID_SHELLS = 16
 # The chain subdivision count, 4x the default scene's 64: the panel fan
-# has 2 n triangles, and its validation compares them pairwise.
+# has 2 n triangles, and the scans' cost grows with them.
 MAX_N = 256
+# Points in each of the curves alpha, eta_prime and beta, 7x the default
+# scene's 289-point alpha: every curve and its cone are certified by box
+# sweeps, near-linear on real curves but pairwise in the worst case.
+MAX_CURVE_POINTS = 2048
+_CURVE_FIELDS = ("alpha", "eta_prime", "beta")
 
 
 def rationalize(x: float) -> Fraction:
@@ -183,6 +188,11 @@ class GridSpec:
 # Scene configuration
 # ---------------------------------------------------------------------------
 
+def _check_curve_length(count: int, name: str):
+    if count > MAX_CURVE_POINTS:
+        raise ConfigError(f"{name} must have at most {MAX_CURVE_POINTS} points", name)
+
+
 @dataclass
 class SceneConfig:
     """Everything needed to build a scene, all rational.
@@ -226,6 +236,8 @@ class SceneConfig:
             raise ConfigError(f"n must be <= {MAX_N}", "n")
         if self.tol < 0:
             raise ConfigError("tol must be >= 0", "tol")
+        for name in _CURVE_FIELDS:
+            _check_curve_length(len(getattr(self, name)), name)
         if len(self.alpha) < 2:
             raise ConfigError("alpha needs at least 2 points", "alpha")
         i0, i1 = self.eta_range
@@ -290,6 +302,9 @@ class SceneConfig:
         for key in required:
             if key not in obj:
                 raise ConfigError("missing required field", key)
+        for name in _CURVE_FIELDS:
+            if isinstance(obj[name], list):
+                _check_curve_length(len(obj[name]), name)
         eta_range = obj["eta_range"]
         if not (isinstance(eta_range, list) and len(eta_range) == 2):
             raise ConfigError("expected a pair of integers", "eta_range")

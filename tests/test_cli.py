@@ -11,7 +11,13 @@ import pytest
 from plgraph.cli import _manifest
 from plgraph.jsonio import canonical_dumps
 from plgraph.linking import MAX_CYCLE_LEN
-from plgraph.scene import MAX_GRID_FREQUENCY, MAX_GRID_SHELLS, MAX_N, control_short_arc_config
+from plgraph.scene import (
+    MAX_CURVE_POINTS,
+    MAX_GRID_FREQUENCY,
+    MAX_GRID_SHELLS,
+    MAX_N,
+    control_short_arc_config,
+)
 from plgraph.verify import MAX_SAMPLES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -304,3 +310,17 @@ def test_oversized_input_exits_1_naming_the_field(tmp_path, command, option, lim
     assert proc.returncode == 1
     assert f"{message} {limit}" in proc.stderr
     assert not out.exists()
+
+
+def test_oversized_curve_exits_1_naming_the_field(tmp_path):
+    doc = json.loads(CONTROL.read_text())
+    doc["alpha"] = doc["alpha"][:1] * (MAX_CURVE_POINTS + 1)
+    config = tmp_path / "long_alpha.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    proc = run_cli("verify-star", "--config", str(config), "--out", str(out))
+    assert proc.returncode == 1
+    assert f"alpha: alpha must have at most {MAX_CURVE_POINTS} points" in proc.stderr
+    assert not out.exists()
+    help_text = " ".join(run_cli("verify-star", "--help").stdout.split())
+    assert f"hold 2 to {MAX_CURVE_POINTS} points each" in help_text

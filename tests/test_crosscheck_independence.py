@@ -23,7 +23,8 @@ FAST_ROUTE_NAMES = {"classify_segment", "orient3d", "icross", "idot", "sign",
                     "locate_point", "edge_side", "_contacts_from_signs",
                     "_plane_form", "_height", "_crossing", "_edge_forms",
                     "index_endpoint", "_first_meeting", "_side_rows",
-                    "_cones_share_direction", "_pencil_index", "_pencil_cull"}
+                    "_cones_share_direction", "_pencil_index", "_pencil_cull",
+                    "_box_pairs", "_cone_boxes"}
 # The fields of the fast route's DiskSegmentResult and SegmentStatus.
 FAST_RESULT_FIELDS = {"contacts", "witness", "kind", "status"}
 

@@ -13,6 +13,7 @@ from plgraph.graphs import LinearEmbedding, SpatialGraph, validate_embedding
 from plgraph.jsonio import canonical_dumps
 from plgraph.linking import MAX_CYCLE_LEN, pairwise_link_scan
 from plgraph.scene import (
+    MAX_CURVE_POINTS,
     MAX_GRID_FREQUENCY,
     MAX_GRID_SHELLS,
     MAX_N,
@@ -470,6 +471,7 @@ class TestInputBounds:
         assert MAX_GRID_FREQUENCY >= 4 * default.grid.frequency
         assert MAX_GRID_SHELLS >= 4 * default.grid.shells
         assert MAX_N >= 4 * default.n
+        assert MAX_CURVE_POINTS >= 4 * len(default.alpha)
         assert MAX_SAMPLES >= 4 * 60 and MAX_CYCLE_LEN >= 4 * 6
 
     @pytest.mark.parametrize("shells, frequency, field", [
@@ -496,6 +498,22 @@ class TestInputBounds:
             build_scene(cfg)
         assert str(exc.value) == f"n: n must be <= {MAX_N}"
 
+    @pytest.mark.parametrize("field", ["alpha", "eta_prime", "beta"])
+    def test_curve_above_limit_rejected(self, nothing_starts, field):
+        message = f"{field}: {field} must have at most {MAX_CURVE_POINTS} points"
+        cfg = control_short_arc_config()
+        setattr(cfg, field, getattr(cfg, field)[:1] * (MAX_CURVE_POINTS + 1))
+        with pytest.raises(ConfigError) as exc:
+            build_scene(cfg)
+        assert str(exc.value) == message
+        # A document is checked before any of its points is parsed, so the
+        # malformed points are never reached.
+        doc = control_short_arc_config().to_jsonable()
+        doc[field] = [None] * (MAX_CURVE_POINTS + 1)
+        with pytest.raises(ConfigError) as exc:
+            SceneConfig.from_jsonable(doc)
+        assert str(exc.value) == message
+
     def test_samples_above_limit_rejected(self, control_scene, nothing_starts):
         with pytest.raises(ConfigError) as exc:
             upper_sample_points(control_scene, MAX_SAMPLES + 1)
@@ -514,6 +532,9 @@ class TestInputBounds:
         cfg = control_short_arc_config()
         cfg.n = MAX_N
         cfg.validate()
+        doc = cfg.to_jsonable()
+        doc["beta"] = doc["beta"][:1] * MAX_CURVE_POINTS
+        assert len(SceneConfig.from_jsonable(doc).beta) == MAX_CURVE_POINTS
         assert len(upper_sample_points(control_scene, MAX_SAMPLES)) == MAX_SAMPLES
         assert len(pairwise_link_scan(_two_triangles(), MAX_CYCLE_LEN).pairs) == 1
 
