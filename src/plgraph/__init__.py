@@ -67,7 +67,6 @@ from .scene import (
     default_paper_config,
     icosphere_directions,
     segment_meets_delta_prime_interior,
-    sphere_point,
 )
 from .verify import (
     EquatorReport,
@@ -100,7 +99,7 @@ __all__ = [
     "find_generic_apex",
     # scene
     "SceneConfig", "Scene", "GridSpec", "build_scene", "default_paper_config",
-    "control_short_arc_config", "sphere_point", "icosphere_directions",
+    "control_short_arc_config", "icosphere_directions",
     "segment_meets_delta_prime_interior",
     # verification
     "StarReport", "EquatorReport", "verify_star", "check_equator_claim",

@@ -9,7 +9,7 @@ report byte for byte.
 
 Exit codes for ``verify-star`` are a stable contract: 0 when every
 non-degenerate placement is blocked, 2 when a zero-blocked witness exists,
-1 on errors.
+1 on errors, usage errors included.
 """
 
 from __future__ import annotations
@@ -44,7 +44,9 @@ def _read_json(path: str, what: str):
             return json.load(fh)
     except OSError as exc:
         raise PLGraphError(f"cannot read {what}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer literal over the interpreter's
+        # digit limit for int/str conversion.
         raise PLGraphError(f"{what} is not valid JSON: {exc}")
 
 
@@ -161,8 +163,17 @@ def cmd_export(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, like every other error, so that a script never
+    reads one as exit 2's verdict; ``--help`` and ``--version`` exit 0."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="plgraph",
         description="Exact PL spatial-graph toolkit: panel scans, linking numbers, mesh export.",
     )

@@ -59,10 +59,6 @@ class CurvesIntersectError(PLGraphError):
     """Two curves handed to a linking-number routine are not disjoint."""
 
 
-class SpliceMismatchError(PLGraphError):
-    """A replacement arc does not share its endpoints with the arc it replaces."""
-
-
 class SceneInvariantViolation(PLGraphError):
     """A built scene violates one of its certified invariants.
 
@@ -80,3 +76,11 @@ class ConfigError(PLGraphError):
     def __init__(self, message, field=None):
         self.field = field
         super().__init__(f"{field}: {message}" if field else message)
+
+
+class SpliceMismatchError(ConfigError):
+    """A replacement arc does not share its endpoints with the arc it
+    replaces; ``field`` is ``eta_prime``."""
+
+    def __init__(self, message):
+        super().__init__(message, "eta_prime")

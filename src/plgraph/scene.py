@@ -54,27 +54,9 @@ MAX_CURVE_POINTS = 2048
 _CURVE_FIELDS = ("alpha", "eta_prime", "beta")
 
 
-def rationalize(x: float) -> Fraction:
-    """Nearest rational with denominator RATIONAL_DENOM (half-up on
-    magnitude)."""
-    n = int(abs(x) * RATIONAL_DENOM + 0.5)
-    return Fraction(-n if x < 0 else n, RATIONAL_DENOM)
-
-
 def rationalize_toward_zero(x: float) -> Fraction:
     n = math.floor(abs(x) * RATIONAL_DENOM)
     return Fraction(-n if x < 0 else n, RATIONAL_DENOM)
-
-
-def sphere_point(colat_deg: float, lon_deg: float) -> ExactPoint:
-    """A rational point within 1/RATIONAL_DENOM of the unit sphere about the
-    origin at the given angles."""
-    th = math.radians(colat_deg)
-    ph = math.radians(lon_deg)
-    x = math.sin(th) * math.cos(ph)
-    y = math.sin(th) * math.sin(ph)
-    z = math.cos(th)
-    return ExactPoint(*(rationalize(c) for c in (x, y, z)))
 
 
 # ---------------------------------------------------------------------------
@@ -568,9 +550,9 @@ def default_paper_config() -> SceneConfig:
     anchor, with the two top endpoints on roughly opposite sides.  A short
     subarc just after the first anchor is replaced by a detour pushed away
     from the first anchor's spoke.  The separating curve is an open polar
-    loop well above everything.  The points were made with
-    :func:`sphere_point` and are stored as rationals, so every machine
-    builds the same scene; ``tests/test_shipped_configs.py`` rebuilds them.
+    loop well above everything.  The points are stored as rationals, so
+    every machine builds the same scene; ``tests/test_shipped_configs.py``
+    rebuilds them from their angles with a float constructor of its own.
     """
     return _shipped_config("default_paper.json")
 

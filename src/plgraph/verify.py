@@ -6,26 +6,33 @@ bottom anchor to x, last anchor to x) against the panel fan's interior.  A
 segment's unavoidable touch at its own anchor vertex (the anchor lies on the
 fan's rim by construction) is structural and is discounted; any other
 boundary-only grazing makes the placement degenerate and it is skipped, since
-measure-zero touches say nothing about interiors.  Every placement achieving
-the minimum blocked count is re-verified through the independent brute-force
-route before the summary is trusted.
+measure-zero touches say nothing about interiors.  Every segment of every
+placement achieving the minimum blocked count is confirmed through the
+independent route before the summary is trusted.
 
 ``check_equator_claim`` tests the cone over the full curve: for placements
 whose bottom-anchor segment misses that cone entirely (beyond the structural
 touch), every sampled near-sphere point with z above the center must send a
-segment through the cone's interior.  Every such pair's interior answer is
-re-verified, and so is every pair the fast route calls boundary-only: that
-split from "disjoint" decides whether a pair is a counter-pair.  The premise
-test, and that split for the pairs the fast route calls disjoint, are not.
+segment through the cone's interior.  Every such pair is confirmed through
+the independent route.
 
-The recheck is :mod:`plgraph.crosscheck`, which shares no predicate with the
-fast route.  A "meets the interior" answer needs one checked witness, not a
-search: the independent interior test starts at the fan triangle where the
-fast route found the interior (:func:`_start_triangle`), so a "yes" solves
-that one triangle.  The start changes only the order in which the
-independent route solves triangles, never its answer; a "no", and every
-other fast answer, is recomputed over the whole fan, and a disagreement
-raises.
+**One confirmation rule.**  Both scans keep the fan's
+:class:`~plgraph.disks.DiskSegmentResult` (anchor-discounted for the star's
+segments and the equator premise) and confirm it with :func:`_recheck`, the
+only caller of :mod:`plgraph.crosscheck`, which shares no predicate with the
+fast route; a disagreement raises.  A "meets-interior", and every answer
+with no discount (each equator pair), goes to the independent interior
+test, which starts at the fan triangle where the fast route found the
+interior (:func:`_start_triangle`), so a "yes" solves that one triangle.
+The start changes only the order in which the independent route solves
+triangles, never its answer.  Every other star answer, and a
+"boundary-only", is then confirmed by recomputing every contact over the
+whole fan.
+
+Not confirmed: the equator premise (the bottom anchor's segment missing the
+cone), the boundary-only/disjoint split of an equator pair the fast route
+calls disjoint (it is confirmed only as not meeting the interior), and the
+segments of star placements above the minimum.
 
 Both scans register their fixed anchors with
 :meth:`~plgraph.disks.FanDisk.index_endpoint` before fanning out (a1, c and
@@ -41,7 +48,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from . import crosscheck
-from .disks import FanDisk
+from .disks import DiskSegmentResult, FanDisk
 from .errors import ConfigError
 from .exactgeom import ExactPoint, Segment
 from .jsonio import point_to_json
@@ -60,28 +67,19 @@ def _feature_jsonable(feature) -> list:
     return [feature[0]] + [int(v) for v in feature[1:]]
 
 
-@dataclass(frozen=True)
-class SegmentStatus:
-    """Classification of one attachment segment after the structural
-    anchor-touch discount."""
-
-    status: str  # 'meets-interior' | 'boundary-only' | 'disjoint'
-    features: Tuple = ()
-    witness: Optional[ExactPoint] = None
-
-    def to_jsonable(self) -> dict:
-        out = {"status": self.status,
-               "features": [_feature_jsonable(f) for f in self.features]}
-        if self.witness is not None:
-            out["witness"] = point_to_json(self.witness)
-        return out
+def _segment_jsonable(res: DiskSegmentResult) -> dict:
+    out = {"status": res.kind,
+           "features": [_feature_jsonable(c.feature) for c in res.contacts]}
+    if res.witness is not None:
+        out["witness"] = point_to_json(res.witness)
+    return out
 
 
 @dataclass(frozen=True)
 class Placement:
     index: int
     x: ExactPoint
-    segments: Tuple[SegmentStatus, ...] = ()
+    segments: Tuple[DiskSegmentResult, ...] = ()
     blocked: int = 0
     skipped: bool = False
     skip_reason: Optional[str] = None
@@ -96,7 +94,7 @@ class Placement:
             out["skip_reason"] = self.skip_reason
         if self.segments:
             out["segments"] = {
-                name: st.to_jsonable() for name, st in zip(SEGMENT_NAMES, self.segments)
+                name: _segment_jsonable(res) for name, res in zip(SEGMENT_NAMES, self.segments)
             }
             out["blocked"] = self.blocked
         return out
@@ -147,22 +145,13 @@ class StarReport:
 
 
 def _classify_with_discount(fan: FanDisk, anchor: ExactPoint, anchor_feature,
-                            x: ExactPoint) -> SegmentStatus:
+                            x: ExactPoint) -> DiskSegmentResult:
     """Classify segment anchor->x against the fan, discounting the contact at
     the anchor's own rim vertex (pass anchor_feature=None for no discount)."""
     res = fan.classify_segment(Segment(anchor, x))
-    kept = []
-    witness = res.witness
-    for c in res.contacts:
-        if anchor_feature is not None and c.feature == anchor_feature \
-                and c.seg is None and c.point == anchor:
-            continue
-        kept.append(c)
-    if res.kind == "meets-interior":
-        return SegmentStatus("meets-interior", tuple(c.feature for c in kept), witness)
-    if kept:
-        return SegmentStatus("boundary-only", tuple(c.feature for c in kept))
-    return SegmentStatus("disjoint")
+    kept = tuple(c for c in res.contacts if not (
+        c.feature == anchor_feature and c.seg is None and c.point == anchor))
+    return DiskSegmentResult(res.kind if kept else "disjoint", kept, res.witness)
 
 
 def _start_triangle(fan: FanDisk, features) -> int:
@@ -176,32 +165,41 @@ def _start_triangle(fan: FanDisk, features) -> int:
     return 0
 
 
-def _recheck_with_discount(fan: FanDisk, anchor: ExactPoint, anchor_feature,
-                           x: ExactPoint, fast: SegmentStatus) -> str:
-    """The same discounted classification through the independent route.
+def _recheck(fan: FanDisk, seg: Segment, fast: DiskSegmentResult, anchor_feature=None) -> None:
+    """Confirm the fast answer ``fast`` for ``seg`` through the independent
+    route, or raise.  ``anchor_feature`` is the discounted rim vertex, as in
+    :func:`_classify_with_discount`.
 
-    When the fast route's status ``fast`` says the segment meets the
-    interior, the independent interior test starts at the triangle the fast
-    route names, and its "yes" settles the answer.  Otherwise, and when that
-    test says no, every contact is recomputed independently, so a
-    disagreement still shows."""
-    seg = Segment(anchor, x)
-    if fast.status == "meets-interior" and \
-            crosscheck.fan_meets_interior(fan, seg, _start_triangle(fan, fast.features)):
-        return "meets-interior"
-    meets, features, _witness = crosscheck.fan_contact_features(fan, seg)
-    if meets:
-        return "meets-interior"
-    features = set(features)
-    features.discard(anchor_feature)
-    return "boundary-only" if features else "disjoint"
+    A "meets-interior", and every answer with no discount, is confirmed by
+    the independent interior test from :func:`_start_triangle`.  Every
+    other discounted answer, and a "boundary-only", is then confirmed by
+    recomputing every contact.  An undiscounted "disjoint" is confirmed
+    only as not meeting the interior."""
+    meets = fast.kind == "meets-interior"
+    if meets or anchor_feature is None:
+        start = _start_triangle(fan, (c.feature for c in fast.contacts))
+        if crosscheck.fan_meets_interior(fan, seg, start) != meets:
+            raise AssertionError(f"independent recheck disagrees on {seg}: {fast.kind} "
+                                 f"vs meets-interior={not meets}")
+    if not meets and (anchor_feature is not None or fast.kind == "boundary-only"):
+        other_meets, features, _witness = crosscheck.fan_contact_features(fan, seg)
+        features = set(features) - {anchor_feature}
+        other = "meets-interior" if other_meets else "boundary-only" if features else "disjoint"
+        if other != fast.kind:
+            raise AssertionError(f"independent recheck disagrees on {seg}: {fast.kind} vs {other}")
+
+
+def _rim_feature(fan: FanDisk, p: ExactPoint):
+    """The rim-vertex feature of ``p`` on ``fan``, or None off the rim's
+    vertices."""
+    return ("rimvert", fan.rim.index(p)) if p in fan.rim else None
 
 
 def _anchor_data(scene: Scene):
     """The three anchors a1, c and b1 with their rim-vertex features on the
-    panel fan: rim entries 0, n and 2 n."""
-    rim, n = scene.gamma_prime.rim, scene.config.n
-    return tuple((rim[k], ("rimvert", k)) for k in (0, n, 2 * n))
+    panel fan."""
+    anchors = (scene.a1, scene.c, scene.b1)
+    return tuple((a, _rim_feature(scene.gamma_prime, a)) for a in anchors)
 
 
 def _evaluate_placement(scene: Scene, anchors, k: int, x: ExactPoint) -> Placement:
@@ -211,10 +209,10 @@ def _evaluate_placement(scene: Scene, anchors, k: int, x: ExactPoint) -> Placeme
     statuses = tuple(
         _classify_with_discount(fan, anchor, feat, x) for anchor, feat in anchors
     )
-    if any(st.status == "boundary-only" for st in statuses):
+    if any(st.kind == "boundary-only" for st in statuses):
         return Placement(k, x, segments=statuses, skipped=True,
                          skip_reason="boundary-touch")
-    blocked = sum(1 for st in statuses if st.status == "meets-interior")
+    blocked = sum(1 for st in statuses if st.kind == "meets-interior")
     return Placement(k, x, segments=statuses, blocked=blocked)
 
 
@@ -282,33 +280,19 @@ def verify_star(scene: Scene, cfg: Optional[SceneConfig] = None,
         else:
             histogram[p.blocked] = histogram.get(p.blocked, 0) + 1
     evaluated = [p for p in placements if not p.skipped]
-    if evaluated:
-        min_blocked = min(p.blocked for p in evaluated)
-        witness_indices = tuple(p.index for p in evaluated if p.blocked == min_blocked)
-    else:
-        min_blocked = None
-        witness_indices = ()
+    min_blocked = min((p.blocked for p in evaluated), default=None)
+    witnesses = [p for p in evaluated if p.blocked == min_blocked]
     # Independent re-verification of every minimal witness.
-    fan = scene.gamma_prime
-    rechecked = 0
-    by_index = {p.index: p for p in placements}
-    for i in witness_indices:
-        p = by_index[i]
-        for (anchor, feat), st in zip(anchors, p.segments):
-            other = _recheck_with_discount(fan, anchor, feat, p.x, st)
-            if other != st.status:
-                raise AssertionError(
-                    f"independent recheck disagrees at placement {i}: "
-                    f"{st.status} vs {other}"
-                )
-        rechecked += 1
+    for p in witnesses:
+        for (anchor, feat), res in zip(anchors, p.segments):
+            _recheck(scene.gamma_prime, Segment(anchor, p.x), res, feat)
     return StarReport(
         placements=tuple(placements),
         min_blocked=min_blocked,
-        witness_indices=witness_indices,
+        witness_indices=tuple(p.index for p in witnesses),
         histogram=histogram,
         skipped_count=skipped,
-        recheck_count=rechecked,
+        recheck_count=len(witnesses),
         recheck_all_match=True,
     )
 
@@ -393,7 +377,7 @@ def _equator_row(scene: Scene, c_feature, samples, k: int, x: ExactPoint):
     if x == scene.v:
         return None
     st = _classify_with_discount(delta, scene.c, c_feature, x)
-    if st.status != "disjoint":
+    if st.kind != "disjoint":
         return None
     blocked = 0
     counter = []
@@ -401,15 +385,7 @@ def _equator_row(scene: Scene, c_feature, samples, k: int, x: ExactPoint):
     for p in samples:
         seg = Segment(p, x)
         res = delta.classify_segment(seg)
-        # Every pair is re-verified through the independent route, starting
-        # at the triangle where the fast route found the interior.
-        start = _start_triangle(delta, (c.feature for c in res.contacts))
-        other = crosscheck.fan_meets_interior(delta, seg, start)
-        if other != (res.kind == "meets-interior"):
-            raise AssertionError(
-                f"independent recheck disagrees on pair {k}: "
-                f"{res.kind} vs meets-interior={other}"
-            )
+        _recheck(delta, seg, res)
         if res.kind == "meets-interior":
             blocked += 1
             continue
@@ -421,12 +397,7 @@ def _equator_row(scene: Scene, c_feature, samples, k: int, x: ExactPoint):
         }
         if res.kind == "boundary-only":
             # A measure-zero graze of the disk's boundary says nothing
-            # about its interior; reported, but not a counterexample.  A
-            # disjoint pair would be one, so the graze is rechecked.
-            meets, features, _w = crosscheck.fan_contact_features(delta, seg)
-            if meets or not features:
-                raise AssertionError(f"independent recheck disagrees on pair {k}: boundary-only "
-                                     f"vs meets-interior={meets}, features={sorted(features)}")
+            # about its interior; reported, but not a counterexample.
             rec["features"] = [_feature_jsonable(c.feature) for c in res.contacts]
             degenerate.append(rec)
         else:
@@ -450,11 +421,7 @@ def check_equator_claim(scene: Scene, cfg: Optional[SceneConfig] = None,
     delta = scene.delta_disk
     # The bottom anchor usually is a rim vertex of the full cone; its
     # structural touch is discounted only when it actually lies there.
-    c_feature = None
-    for i, p in enumerate(delta.rim):
-        if p == scene.c:
-            c_feature = ("rimvert", i)
-            break
+    c_feature = _rim_feature(delta, scene.c)
     samples = upper_sample_points(scene, sample_count)
     delta.index_endpoint(scene.c)
     grid_points = cfg.grid.placements(scene.v, cfg.epsilon)

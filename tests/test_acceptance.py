@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from float_points import sphere_point
 from plgraph.crosscheck import fan_contact_features, panel_check_bruteforce
 from plgraph.disks import cone, disk_disk_classify, panel_check
 from plgraph.errors import (
@@ -34,7 +35,7 @@ from plgraph.linking import (
     linking_number_cone,
     linking_number_projection,
 )
-from plgraph.scene import build_scene, sphere_point
+from plgraph.scene import build_scene
 from plgraph.verify import check_equator_claim, verify_star
 
 P = ExactPoint
@@ -196,7 +197,7 @@ def test_criterion_4_star_refutation(default_scene, default_star):
         for (anchor, feat), st in zip(anchors, w.segments):
             meets, features, _ = fan_contact_features(
                 default_scene.gamma_prime, Segment(anchor, w.x))
-            spot_ok &= meets == (st.status == "meets-interior")
+            spot_ok &= meets == (st.kind == "meets-interior")
     ok = (rep.evaluated_count >= 5000 and rep.min_blocked is not None
           and rep.min_blocked >= 1 and rep.recheck_all_match
           and rep.recheck_count == len(rep.witness_indices)
@@ -212,7 +213,7 @@ def test_criterion_4_star_refutation(default_scene, default_star):
 def test_criterion_5_negative_control(control_star):
     rep = control_star.value
     witness_clean = bool(rep.witness_indices) and all(
-        st.status == "disjoint" for st in rep.witnesses()[0].segments
+        st.kind == "disjoint" for st in rep.witnesses()[0].segments
     )
     ok = (rep.min_blocked == 0 and witness_clean and rep.recheck_all_match
           and control_star.elapsed < 60)

@@ -112,6 +112,17 @@ class TestVerifyStar:
         assert message in proc.stderr
         assert not out.exists()
 
+    def test_splice_mismatch_exits_1_naming_eta_prime(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        doc = json.loads(CONTROL.read_text())
+        doc["eta_prime"][0] = doc["eta_prime"][1]
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "x.json"
+        proc = run_cli("verify-star", "--config", str(bad), "--out", str(out))
+        assert proc.returncode == 1
+        assert "error: eta_prime: replacement arc endpoints differ" in proc.stderr
+        assert not out.exists()
+
     def test_rerunning_reproduces_byte_identical_report(self, tmp_path):
         out1 = tmp_path / "r1.json"
         out2 = tmp_path / "r1.json"  # same path in the manifest both times
@@ -268,6 +279,16 @@ def test_unreadable_or_malformed_input_exits_1(tmp_path, command, what):
     proc = run_cli(*args, "--out", str(tmp_path / "out.json"))
     assert proc.returncode == 1
     assert f"{what} is not valid JSON:" in proc.stderr
+    # A denominator over the interpreter's 4,300-digit limit for int/str
+    # conversion, which the JSON parser reports as a plain ValueError.
+    doc = json.loads(CONTROL.read_text()) if command == "verify-star" else HOPF_EMBEDDING
+    text = json.dumps(doc)
+    assert "[0, 1]" in text
+    path.write_text(text.replace("[0, 1]", "[0, 1" + "0" * 4999 + "]", 1))
+    proc = run_cli(*args, "--out", str(tmp_path / "out.json"))
+    assert proc.returncode == 1
+    assert f"{what} is not valid JSON:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 class TestEquatorCommand:
@@ -324,3 +345,19 @@ def test_oversized_curve_exits_1_naming_the_field(tmp_path):
     assert not out.exists()
     help_text = " ".join(run_cli("verify-star", "--help").stdout.split())
     assert f"hold 2 to {MAX_CURVE_POINTS} points each" in help_text
+
+
+@pytest.mark.parametrize("args, code", [
+    (["verify-star", "--demo", "--threads", "abc"], 1),
+    (["verify-star", "--demo", "--no-such-flag"], 1),
+    ([], 1),
+    (["--help"], 0),
+    (["verify-star", "--help"], 0),
+    (["--version"], 0),
+], ids=["bad-int", "unknown-flag", "no-subcommand", "help", "subcommand-help", "version"])
+def test_usage_errors_exit_1_and_help_exits_0(args, code):
+    """Exit 2 is a verdict (a zero-blocked witness or counter-pairs), so a
+    usage error must not exit 2 as argparse's default does."""
+    proc = run_cli(*args)
+    assert proc.returncode == code, proc.stderr
+    assert ("error:" in proc.stderr) == (code == 1)

@@ -217,7 +217,7 @@ def scan_segments(scene, samples):
             continue
         star += [Segment(anchor, x) for anchor, _feat in anchors]
         equator.append(Segment(scene.c, x))
-        if _classify_with_discount(scene.delta_disk, scene.c, c_feature, x).status == "disjoint":
+        if _classify_with_discount(scene.delta_disk, scene.c, c_feature, x).kind == "disjoint":
             equator += [Segment(p, x) for p in upper]
     return star, equator
 

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from float_points import sphere_point
 from plgraph import disks
 from plgraph.crosscheck import fan_contact_features, panel_check_bruteforce
 from plgraph.disks import (
@@ -30,7 +31,6 @@ from plgraph.exactgeom import (
     triangle_triangle_intersection,
 )
 from plgraph.graphs import LinearEmbedding, SpatialGraph
-from plgraph.scene import sphere_point
 
 P = ExactPoint
 O = P(0, 0, 0)

@@ -3,11 +3,11 @@
 An AST walk over each module that computes a predicate or a verdict finds
 every use of the name ``float``, every float or complex literal, and every
 ``math`` name other than ``gcd`` and ``lcm``.  In ``scene.py`` the walk
-skips only ``sphere_point``, ``icosphere_directions`` and their rounding
-helpers, which round sines, cosines and square roots to rationals before any
-predicate sees them; the rest of it, ``GridSpec``, ``SceneConfig``,
-``build_scene`` and the shipped configs, which load JSON files, is checked.  ``meshio.py``,
-which formats OBJ output, is exempt.
+skips only ``icosphere_directions`` and its rounding helper
+``rationalize_toward_zero``, which round square roots to rationals before
+any predicate sees them; the rest of it, ``GridSpec``, ``SceneConfig``,
+``build_scene`` and the shipped configs, which load JSON files, is checked.
+``meshio.py``, which formats OBJ output, is exempt.
 """
 
 import ast
@@ -19,8 +19,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "plgraph"
 EXACT_MODULES = ("exactgeom", "disks", "graphs", "linking", "crosscheck", "verify", "scene")
 # The module-level functions whose bodies may use floats, per module.
 FLOAT_CONSTRUCTORS = {
-    "scene": ("rationalize", "rationalize_toward_zero", "sphere_point",
-              "icosphere_directions"),
+    "scene": ("rationalize_toward_zero", "icosphere_directions"),
 }
 MATH_ALLOWED = {"gcd", "lcm"}
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from float_points import sphere_point
 from plgraph import crosscheck
 from plgraph.disks import DiskSegmentResult, disk_disk_classify
 from plgraph.errors import ConfigError, SceneInvariantViolation, SpliceMismatchError
@@ -26,14 +27,12 @@ from plgraph.scene import (
     icosphere_directions,
     scene_graph,
     segment_meets_delta_prime_interior,
-    sphere_point,
     split_scene_embedding,
 )
 from plgraph.verify import (
     MAX_SAMPLES,
-    SegmentStatus,
     _anchor_data,
-    _recheck_with_discount,
+    _recheck,
     check_equator_claim,
     star_exit_code,
     upper_sample_points,
@@ -182,7 +181,7 @@ class TestBuildScene:
 
 def _statuses(report):
     return [
-        (p.skipped, tuple(st.status for st in (p.segments or ())), p.blocked)
+        (p.skipped, tuple(st.kind for st in (p.segments or ())), p.blocked)
         for p in report.placements
     ]
 
@@ -193,7 +192,7 @@ class TestStarScan:
         assert rep.min_blocked == 0
         assert len(rep.witness_indices) > 0
         w = rep.witnesses()[0]
-        assert all(st.status == "disjoint" for st in w.segments)
+        assert all(st.kind == "disjoint" for st in w.segments)
         assert rep.recheck_all_match
 
     def test_exit_code_contract(self, control_star):
@@ -281,8 +280,8 @@ class TestStarScan:
             for (anc_b, feat_b), (anc_r, feat_r) in zip(anchors_base, anchors_rot):
                 st_b = _classify_with_discount(base_scene.gamma_prime, anc_b, feat_b, x)
                 st_r = _classify_with_discount(scene.gamma_prime, anc_r, feat_r, xr)
-                assert st_b.status == st_r.status
-                assert st_b.features == st_r.features
+                assert st_b.kind == st_r.kind
+                assert [c.feature for c in st_b.contacts] == [c.feature for c in st_r.contacts]
 
 
 class TestEquator:
@@ -369,7 +368,7 @@ class TestIndependentRecheck:
         scene = _scene(request, which)
         star = verify_star(scene)
         star_yes = [solved for answer, solved in recorded if answer]
-        assert len(star_yes) == sum(st.status == "meets-interior"
+        assert len(star_yes) == sum(st.kind == "meets-interior"
                                     for w in star.witnesses() for st in w.segments)
         del recorded[:]
         equator = check_equator_claim(scene, sample_count=RECHECK_SCENES[which])
@@ -382,8 +381,9 @@ class TestIndependentRecheck:
 
     @pytest.mark.parametrize("which", list(RECHECK_SCENES))
     def test_recheck_status_does_not_depend_on_the_fast_status(self, request, which):
-        """On every witness segment the recheck gives the status that the full
-        independent classification gives, whatever the fast route said."""
+        """On every witness segment the recheck passes the status that the
+        full independent classification gives, and raises on each other
+        status the fast route could have said."""
         scene = _scene(request, which)
         star = request.getfixturevalue("control_star").value if which == "control" \
             else verify_star(scene)
@@ -391,27 +391,26 @@ class TestIndependentRecheck:
         segments = 0
         for w in star.witnesses():
             for (anchor, feat), st in zip(anchors, w.segments):
-                meets, features, _ = crosscheck.fan_contact_features(fan, Segment(anchor, w.x))
+                seg = Segment(anchor, w.x)
+                meets, features, _ = crosscheck.fan_contact_features(fan, seg)
                 full = "meets-interior" if meets else \
                     "boundary-only" if set(features) - {feat} else "disjoint"
-                assert st.status == full
-                for fast in (st, SegmentStatus("meets-interior", st.features),
-                             SegmentStatus("disjoint")):
-                    assert _recheck_with_discount(fan, anchor, feat, w.x, fast) == full
+                assert st.kind == full
+                _recheck(fan, seg, st, feat)
+                for wrong in ("meets-interior", "boundary-only", "disjoint"):
+                    if wrong != full:
+                        with pytest.raises(AssertionError, match="independent recheck disagrees"):
+                            _recheck(fan, seg, DiskSegmentResult(wrong, st.contacts), feat)
                 segments += 1
         assert segments > 0
 
     def test_a_no_from_the_independent_route_raises(self, reduced_default_scene, monkeypatch):
+        """A "no" from the independent interior test alone raises, in both
+        scans, even though recomputing every contact would say yes."""
         scene = reduced_default_scene
-        star = canonical_dumps(verify_star(scene).to_jsonable(full=True))
         monkeypatch.setattr(crosscheck, "fan_meets_interior", lambda fan, seg, first=0: False)
         with pytest.raises(AssertionError, match="independent recheck disagrees"):
             check_equator_claim(scene, sample_count=10)
-        # After a no, the star recheck recomputes every contact, which says
-        # yes; with that answering no as well, the recheck disagrees.
-        assert canonical_dumps(verify_star(scene).to_jsonable(full=True)) == star
-        monkeypatch.setattr(crosscheck, "fan_contact_features",
-                            lambda fan, seg: (False, set(), None))
         with pytest.raises(AssertionError, match="independent recheck disagrees"):
             verify_star(scene)
 
@@ -586,7 +585,7 @@ class TestDefaultSceneInvariants:
         checked = 0
         for placement in sample:
             for anchor, st in zip(anchors, placement.segments):
-                if st.status != "meets-interior":
+                if st.kind != "meets-interior":
                     continue
                 seg = Segment(anchor, placement.x)
                 assert segment_meets_delta_prime_interior(default_scene, seg)

@@ -12,13 +12,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import List
 
+from float_points import sphere_point
 from plgraph.exactgeom import ExactPoint
 from plgraph.jsonio import canonical_dumps
-from plgraph.scene import (
-    GridSpec,
-    SceneConfig,
-    sphere_point,
-)
+from plgraph.scene import GridSpec, SceneConfig
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "plgraph" / "data"
 
