@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from .errors import PLGraphError
+from .errors import ConfigError, PLGraphError
 from .jsonio import content_hash, embedding_from_json, write_canonical
 from .linking import MAX_CYCLE_LEN, pairwise_link_scan
 from .meshio import write_obj
@@ -60,10 +60,11 @@ def _load_config(args) -> tuple:
 
 
 def _parse_rational(text: str) -> Fraction:
+    """The value of ``--epsilon``; a malformed one raises ConfigError naming it."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise PLGraphError(f"bad rational {text!r}: {exc}")
+        raise ConfigError(f"bad rational {text!r}: {exc}", "epsilon")
 
 
 def _apply_overrides(cfg: SceneConfig, args) -> dict:

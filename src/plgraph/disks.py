@@ -38,6 +38,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cmp_to_key
+from itertools import chain
 from math import gcd
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -85,13 +86,13 @@ def _in_cone(w, a, b, n) -> bool:
     return idot(icross(a, w), n) >= 0 and idot(icross(w, b), n) >= 0
 
 
-def _side_rows(normals, dirs) -> List[bytes]:
-    """One ``bytes`` row per integer normal: the sign (plus 1) of each
-    integer direction in ``dirs`` against it.  :meth:`FanDisk.classify_segment`
-    culls a segment's triangles with the row of its plane's normal."""
-    return [bytes([(v > 0) - (v < 0) + 1 for v in
-                   [n0 * x + n1 * y + n2 * z for x, y, z, _ in dirs]])
-            for n0, n1, n2 in normals]
+def _side_row(n, dirs) -> bytes:
+    """The sign (plus 1) of each integer direction in ``dirs`` against the
+    integer normal ``n``.  :meth:`FanDisk.classify_segment` culls a segment's
+    triangles with the row of its plane's normal."""
+    n0, n1, n2 = n
+    return bytes([(v > 0) - (v < 0) + 1
+                  for v in [n0 * x + n1 * y + n2 * z for x, y, z, _ in dirs]])
 
 
 def _cross2(u, w) -> int:
@@ -117,7 +118,12 @@ class _Pencil(NamedTuple):
     r (x's plane coordinates, put into the upper half-plane by the factor f,
     lie past the first r events and before the rest), row entry k is
     f tau[k] when rank[k] >= r and -f tau[k] otherwise; ``live[r]`` holds the
-    triangles that row keeps, which do not depend on f.
+    triangles that row keeps, which do not depend on f.  The row keeps
+    triangle i when entry i is 0 or differs from entry i + 1.  So with lo <=
+    hi the ranks of its two directions, triangle i is live in every state
+    when tau[i] or tau[i + 1] is 0; in the states lo < r <= hi, where the
+    two entries have opposite factors, when tau[i] = tau[i + 1]; and in the
+    other states when tau[i] = -tau[i + 1].
     """
 
     e1: Tuple[int, int, int]
@@ -145,25 +151,19 @@ def _pencil_index(A, dirs) -> _Pencil:
                     key=cmp_to_key(lambda u, w: -_cross2(u, w)))
     rank_of = {e: r for r, e in enumerate(events)}
     rank = [rank_of.get(k, 0) for k in keys]
-    # Sweep the states: passing an event negates the entries of its
-    # directions, which changes only the triangles on either side of them.
-    count = len(dirs) - 1
-    entry = list(tau)
-    crossed = [[] for _ in events]
-    for k, key in enumerate(keys):
-        if key is not None:
-            crossed[rank_of[key]].append(k)
-    kept = {i for i in range(count) if not entry[i] or entry[i] != entry[i + 1]}
-    live = [tuple(sorted(kept))]
-    for group in crossed:
-        for k in group:
-            entry[k] = -entry[k]
-        for i in {i for k in group for i in (k - 1, k) if 0 <= i < count}:
-            if not entry[i] or entry[i] != entry[i + 1]:
-                kept.add(i)
-            else:
-                kept.discard(i)
-        live.append(tuple(sorted(kept)))
+    states = len(events) + 1
+    live = [[] for _ in range(states)]
+    for i in range(len(dirs) - 1):
+        lo, hi = sorted(rank[i:i + 2])
+        if not tau[i] or not tau[i + 1]:
+            kept = range(states)
+        elif tau[i] == tau[i + 1]:
+            kept = range(lo + 1, hi + 1)
+        else:
+            kept = chain(range(lo + 1), range(hi + 1, states))
+        for r in kept:
+            live[r].append(i)
+    live = [tuple(triangles) for triangles in live]
     return _Pencil(e1, e2, events, live, tau, rank)
 
 
@@ -437,27 +437,13 @@ class FanDisk:
 
     def _map_feature(self, i: int, feat) -> DiskFeature:
         """Map a triangle-level feature of triangle i to a disk feature."""
-        m = len(self.rim)
-        j = (i + 1) % m
+        j = (i + 1) % len(self.rim)
         kind = feat[0]
-        if kind == "interior":
-            return ("face", i)
-        if kind == "chord":
+        if kind in ("interior", "chord"):
             return ("face", i)
         if kind == "edge":
-            k = feat[1]
-            if k == 0:
-                return ("spoke", i)
-            if k == 1:
-                return ("rim", i)
-            return ("spoke", j)
-        # vertex
-        k = feat[1]
-        if k == 0:
-            return ("apex",)
-        if k == 1:
-            return ("rimvert", i)
-        return ("rimvert", j)
+            return (("spoke", i), ("rim", i), ("spoke", j))[feat[1]]
+        return (("apex",), ("rimvert", i), ("rimvert", j))[feat[1]]
 
     # -- segment classification ---------------------------------------------
 
@@ -524,7 +510,7 @@ class FanDisk:
         if cull:
             live, spoke = cull
         else:
-            row = _side_rows([icross(va, vb)], self._idirs)[0]
+            row = _side_row(icross(va, vb), self._idirs)
             live = [i for i in range(len(self.triangles)) if row[i] == 1 or row[i] != row[i + 1]]
             spoke = lambda k: row[k] - 1
         for i in live:
@@ -619,34 +605,23 @@ def disk_disk_classify(d1: FanDisk, d2: FanDisk) -> DiskDiskResult:
 # Panel check
 # ---------------------------------------------------------------------------
 
-def _canonical_polygon(points: List[ExactPoint]) -> List[ExactPoint]:
-    """Drop collinear interior vertices of a closed polygon, then rotate and
-    reflect to the lexicographically least form."""
+def _drop_collinear(points: List[ExactPoint]) -> List[ExactPoint]:
+    """Drop collinear interior vertices of a closed polygon."""
     pts = list(points)
     changed = True
     while changed and len(pts) > 3:
         changed = False
         for i in range(len(pts)):
-            a = pts[(i - 1) % len(pts)]
-            b = pts[i]
-            c = pts[(i + 1) % len(pts)]
-            if collinear(a, b, c):
+            if collinear(pts[i - 1], pts[i], pts[(i + 1) % len(pts)]):
                 pts.pop(i)
                 changed = True
                 break
-    def key(p):
-        return (p.x, p.y, p.z)
+    return pts
 
-    best = None
-    m = len(pts)
-    for rev in (False, True):
-        seq = list(reversed(pts)) if rev else pts
-        for r in range(m):
-            cand = seq[r:] + seq[:r]
-            k = tuple(key(p) for p in cand)
-            if best is None or k < best[0]:
-                best = (k, cand)
-    return best[1]
+
+def _same_cycle(p: List[ExactPoint], q: List[ExactPoint]) -> bool:
+    """Are the point cycles p and q equal up to rotation and reflection?"""
+    return len(p) == len(q) and any(q[r:] + q[:r] in (p, p[::-1]) for r in range(len(q)))
 
 
 @dataclass(frozen=True)
@@ -660,7 +635,9 @@ def panel_check(d: FanDisk, e, boundary_cycle: Sequence) -> PanelResult:
 
     ``e`` is a LinearEmbedding; ``boundary_cycle`` a vertex sequence forming a
     cycle of its graph.  Raises BoundaryMismatchError when the disk's boundary
-    differs from the cycle polygon as a point set.
+    and the cycle polygon, collinear vertices dropped, differ as point cycles
+    up to rotation and reflection.  A violating edge names the first, that
+    is the least, of its sorted interior contacts.
     """
     cycle = list(boundary_cycle)
     if len(cycle) < 3:
@@ -672,7 +649,7 @@ def panel_check(d: FanDisk, e, boundary_cycle: Sequence) -> PanelResult:
             raise BoundaryMismatchError(f"cycle step {u!r}-{w!r} is not a graph edge")
     cyc_pts = [e.position[v] for v in cycle]
     bound_pts = ([] if d.closed else [d.apex]) + list(d.rim)
-    if _canonical_polygon(cyc_pts) != _canonical_polygon(bound_pts):
+    if not _same_cycle(_drop_collinear(cyc_pts), _drop_collinear(bound_pts)):
         raise BoundaryMismatchError("disk boundary differs from the cycle polygon")
     # Vertices against the interior.
     for v in sorted(e.graph.vertices, key=repr):
@@ -684,10 +661,7 @@ def panel_check(d: FanDisk, e, boundary_cycle: Sequence) -> PanelResult:
         u, w = tuple(sorted(edge, key=repr))
         res = d.classify_segment(Segment(e.position[u], e.position[w]))
         if res.kind == "meets-interior":
-            feat = min(
-                (c.feature for c in res.contacts if d.feature_is_interior(c.feature)),
-                key=_feature_key,
-            )
+            feat = next(c.feature for c in res.contacts if d.feature_is_interior(c.feature))
             return PanelResult("violated", ("edge", (u, w), feat, res.witness))
     return PanelResult("paneled")
 

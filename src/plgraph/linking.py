@@ -303,10 +303,12 @@ def pairwise_link_scan(e, max_cycle_len: int) -> LinkReport:
     Each pair's value is computed by the projection route with a
     deterministically found generic direction and cross-checked against the
     cone route; a mismatch aborts with a diagnostic.  ``max_cycle_len``
-    above :data:`MAX_CYCLE_LEN` raises :class:`ConfigError`.
+    below 3 or above :data:`MAX_CYCLE_LEN` raises :class:`ConfigError`.
     """
     from .graphs import enumerate_cycles, validate_embedding
 
+    if max_cycle_len < 3:
+        raise ConfigError("max_cycle_len must be at least 3", "max_cycle_len")
     if max_cycle_len > MAX_CYCLE_LEN:
         raise ConfigError(f"max_cycle_len must be <= {MAX_CYCLE_LEN}", "max_cycle_len")
     res = validate_embedding(e)

@@ -320,17 +320,38 @@ class TestEquatorCommand:
 ])
 def test_oversized_input_exits_1_naming_the_field(tmp_path, command, option, limit, message):
     # Serial (the default --threads 1), so no worker process can start.
-    if command == "lk":
-        source = tmp_path / "hopf.json"
-        source.write_text(json.dumps(HOPF_EMBEDDING))
-        args = [str(source)]
-    else:
-        args = ["--config", str(CONTROL)]
     out = tmp_path / "out.json"
-    proc = run_cli(command, *args, option, str(limit + 1), "--out", str(out))
+    proc = run_cli(command, *input_args(tmp_path, command), option, str(limit + 1),
+                   "--out", str(out))
     assert proc.returncode == 1
     assert f"{message} {limit}" in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, option, value, message", [
+    ("lk", "--max-cycle-len", "2", "max_cycle_len: max_cycle_len must be at least 3"),
+    ("lk", "--max-cycle-len", "0", "max_cycle_len: max_cycle_len must be at least 3"),
+    ("lk", "--max-cycle-len", "-5", "max_cycle_len: max_cycle_len must be at least 3"),
+    ("verify-star", "--epsilon", "abc", "epsilon: bad rational 'abc'"),
+    ("verify-star", "--epsilon", "1/0", "epsilon: bad rational '1/0'"),
+])
+def test_undersized_or_malformed_option_exits_1_naming_the_field(tmp_path, command, option,
+                                                                 value, message):
+    out = tmp_path / "out.json"
+    proc = run_cli(command, *input_args(tmp_path, command), option, value, "--out", str(out))
+    assert proc.returncode == 1
+    assert f"error: {message}" in proc.stderr
+    assert not out.exists()
+
+
+def input_args(tmp_path, command):
+    """The input arguments of ``command``: the control config for a scan,
+    the Hopf fixture, written to ``tmp_path``, for ``lk``."""
+    if command != "lk":
+        return ["--config", str(CONTROL)]
+    source = tmp_path / "hopf.json"
+    source.write_text(json.dumps(HOPF_EMBEDDING))
+    return [str(source)]
 
 
 def test_oversized_curve_exits_1_naming_the_field(tmp_path):

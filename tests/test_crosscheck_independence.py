@@ -22,7 +22,7 @@ FAST_ROUTE_NAMES = {"classify_segment", "orient3d", "icross", "idot", "sign",
                     "edge_sign_feature", "segment_triangle_contacts", "plane_crossing",
                     "locate_point", "edge_side", "_contacts_from_signs",
                     "_plane_form", "_height", "_crossing", "_edge_forms",
-                    "index_endpoint", "_first_meeting", "_side_rows",
+                    "index_endpoint", "_first_meeting", "_side_rows", "_side_row",
                     "_cones_share_direction", "_pencil_index", "_pencil_cull",
                     "_box_pairs", "_cone_boxes"}
 # The fields of the fast route's DiskSegmentResult, and ``status``, the name

@@ -453,6 +453,40 @@ class TestPanelCheck:
         emb = LinearEmbedding(g, {"v": O, 0: rim[0], 1: rim[1], 2: rim[2]})
         assert panel_check(d, emb, ["v", 0, 1, 2]).kind == "paneled"
 
+    def test_cycle_matches_the_boundary_up_to_rotation_and_reflection(self):
+        d, emb, cycle = square_panel_fixture()
+        for r in range(4):
+            turned = cycle[r:] + cycle[:r]
+            assert panel_check(d, emb, turned).kind == "paneled"
+            assert panel_check(d, emb, turned[::-1]).kind == "paneled"
+        # The same four points in another cyclic order bound no square.
+        g = SpatialGraph([0, 1, 2, 3], [(0, 2), (2, 1), (1, 3), (3, 0)])
+        with pytest.raises(BoundaryMismatchError, match="differs"):
+            panel_check(d, LinearEmbedding(g, emb.position), [0, 2, 1, 3])
+
+    def test_collinear_boundary_points_are_dropped(self):
+        # The open fan's boundary runs apex, (2, 0, 0), ..., (0, 2, 0) back
+        # to the apex; a cycle with a point between (2, 2, 0) and (0, 2, 0)
+        # bounds the same polygon.
+        rim = [P(2, 0, 0), P(2, 2, 0), P(0, 2, 0)]
+        d = cone(O, rim)
+        g = SpatialGraph(["v", 0, 1, 2, 3],
+                         [("v", 0), (0, 1), (1, 3), (3, 2), (2, "v")])
+        emb = LinearEmbedding(g, {"v": O, 0: rim[0], 1: rim[1], 2: rim[2], 3: P(1, 2, 0)})
+        assert panel_check(d, emb, [3, 1, 0, "v", 2]).kind == "paneled"
+
+    def test_edge_violation_names_the_least_interior_feature(self):
+        # The edge runs along y = 1 through rim chord 3, face 3, the apex of
+        # the closed fan, face 1 and rim chord 1; its interior features are
+        # the apex and faces 1 and 3, and the least of them is named.
+        d, emb, cycle = square_panel_fixture()
+        g = SpatialGraph([0, 1, 2, 3, 4, 5], [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)])
+        emb2 = LinearEmbedding(g, {**emb.position, 4: P(-1, 1, 0), 5: P(3, 1, 0)})
+        res = panel_check(d, emb2, cycle)
+        assert (res.kind, res.witness) == ("violated", ("edge", (4, 5), ("apex",), d.apex))
+        brute_kind, brute_witness = panel_check_bruteforce(d, emb2, cycle)
+        assert (brute_kind, brute_witness[:3]) == (res.kind, res.witness[:3])
+
     def test_vertex_inside_violates(self):
         d, emb, cycle = square_panel_fixture()
         g = SpatialGraph([0, 1, 2, 3, 9], [(0, 1), (1, 2), (2, 3), (3, 0)])

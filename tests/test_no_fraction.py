@@ -4,10 +4,11 @@ the fan classifier.
 An AST walk over ``exactgeom.py`` and ``disks.py`` finds every place where a
 Fraction can be made on the way to a verdict: a ``Fraction(...)`` call, a
 true division ``/`` (``int / int`` is a float, which ``test_no_float.py``
-cannot see, and ``Fraction / int`` is a Fraction), and a call of ``.dot``,
-``.norm2`` or ``.scale``, the ``ExactPoint`` methods that return or take
-Fractions.  Such a site is allowed only inside a named scope of
-``exactgeom``, and ``disks`` has none:
+cannot see, and ``Fraction / int`` is a Fraction), a call of ``.dot``,
+``.norm2``, ``.scale`` or ``.coords``, the ``ExactPoint`` methods that
+return or take Fractions, and a read of ``.x``, ``.y`` or ``.z``, the
+point's Fraction views.  Such a site is allowed only inside a named scope
+of ``exactgeom``, and ``disks`` has none:
 
 * ``ExactPoint``: its Fraction views ``x``, ``y``, ``z`` and its arithmetic
   for callers outside the kernel;
@@ -28,13 +29,15 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "plgraph"
 CHECKED_MODULES = ("exactgeom", "disks")
 ALLOWED_SCOPES = {"exactgeom": ("ExactPoint", "frac"), "disks": ()}
-FRACTION_METHODS = {"dot", "norm2", "scale"}
+FRACTION_METHODS = {"dot", "norm2", "scale", "coords"}
+FRACTION_VIEWS = {"x", "y", "z"}
 
 
 def fraction_uses(source: str, allowed=()) -> list:
     """``(line, what, scope)`` for each ``Fraction(...)`` call, true
-    division and call of a Fraction-valued point method in the source,
-    outside the scopes named in ``allowed``."""
+    division, call of a Fraction-valued point method and read of a
+    point's Fraction view in the source, outside the scopes named in
+    ``allowed``."""
     found = []
 
     def visit(node, scope):
@@ -51,6 +54,9 @@ def fraction_uses(source: str, allowed=()) -> list:
                     what = f".{f.attr}()"
             elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
                 what = "/"
+            elif (isinstance(node, ast.Attribute) and node.attr in FRACTION_VIEWS
+                  and isinstance(node.ctx, ast.Load)):
+                what = f".{node.attr}"
             if what is not None:
                 found.append((node.lineno, what, scope))
         for child in ast.iter_child_nodes(node):
@@ -87,6 +93,9 @@ def test_the_walk_finds_each_kind_of_use():
         "        return self.scale(Fraction(1, 2))\n"
         "    x = property(lambda self: self.irep[0] / self.irep[3])\n"
         "q = 7 // 2\n"
+        "def key(p):\n"
+        "    p.y = p.irep\n"
+        "    return (p.x, p.z) < p.coords()\n"
     )
     assert fraction_uses(source) == [
         (3, "Fraction()", ""), (3, "Fraction()", ""),
@@ -94,11 +103,13 @@ def test_the_walk_finds_each_kind_of_use():
         (6, "/", "crossing"), (7, ".scale()", "crossing"),
         (10, ".scale()", "Point.half"), (10, "Fraction()", "Point.half"),
         (11, "/", "Point"),
+        (15, ".coords()", "key"), (15, ".x", "key"), (15, ".z", "key"),
     ]
-    assert fraction_uses(source, ("crossing", "Point.half")) == [
+    assert fraction_uses(source, ("crossing", "Point.half", "key")) == [
         (3, "Fraction()", ""), (3, "Fraction()", ""), (11, "/", "Point")]
     assert fraction_uses(source, ("Point", "crossing.other")) == [
         (3, "Fraction()", ""), (3, "Fraction()", ""),
         (5, ".dot()", "crossing"), (5, ".norm2()", "crossing"), (5, "/", "crossing"),
         (6, "/", "crossing"), (7, ".scale()", "crossing"),
+        (15, ".coords()", "key"), (15, ".x", "key"), (15, ".z", "key"),
     ]

@@ -10,9 +10,10 @@ on the scan segments of the control scene and of a reduced default grid, and
 on seeded lattice fans with the anchor at a rim vertex, on a spoke line
 beyond the rim, at a generic point and at the apex, with x planted on an
 event plane, on the axis and at the apex, and with rim directions coplanar
-with the axis.  The scans are checked to register their anchors and still
-call ``classify_segment`` once per segment, and an index to live and die
-with its fan and to stay small.
+with the axis; and, for the scans' anchors and the lattice fans, at one
+point inside each state's angle about the line apex-a.  The scans are
+checked to register their anchors and still call ``classify_segment`` once
+per segment, and an index to live and die with its fan and to stay small.
 """
 
 import gc
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from plgraph.disks import FanDisk, _pencil_cull, _side_rows, cone
+from plgraph.disks import FanDisk, _pencil_cull, _pencil_index, _side_row, cone
 from plgraph.errors import FanConstructionError
 from plgraph.exactgeom import ExactPoint, Segment, icross
 from plgraph.scene import GridSpec, SceneConfig, build_scene, default_paper_config
@@ -38,7 +39,7 @@ LATTICE = [P(x, y, z) for x in range(3) for y in range(3) for z in range(3)]
 
 def row_cull(fan, a, x):
     """The row path's kept triangles and entries for segment a -> x."""
-    row = _side_rows([icross((a - fan.apex).irep, (x - fan.apex).irep)], fan._idirs)[0]
+    row = _side_row(icross((a - fan.apex).irep, (x - fan.apex).irep), fan._idirs)
     live = [i for i in range(fan.n_triangles) if row[i] == 1 or row[i] != row[i + 1]]
     return live, [v - 1 for v in row]
 
@@ -80,6 +81,36 @@ def assert_index_matches_row(fan, a, xs):
     return outcomes
 
 
+def state_points(fan, a):
+    """One point x strictly inside each reachable state's angle of a's
+    pencil index, as ``(state, x)``.  With x - apex = u |e2|^2 e1 + v |e1|^2
+    e2 (e1 and e2 are orthogonal), x's plane coordinates are |e1|^2 |e2|^2
+    (u, v), and (u, v) is the sum of two consecutive events, or a direction
+    before the first event or past the last.  State 0 is empty when the
+    first event is (1, 0), the first direction of the upper half-plane."""
+    index = _pencil_index((a - fan.apex).irep, fan._idirs)
+    e1, e2, events = index.e1, index.e2, index.events
+    n1, n2 = sum(c * c for c in e1), sum(c * c for c in e2)
+    (x0, y0), (xn, yn) = events[0], events[-1]
+    dirs = [(0, (1, 0))] if y0 > 0 else []
+    dirs += [(r, (u0 + u1, v0 + v1))
+             for r, ((u0, v0), (u1, v1)) in enumerate(zip(events, events[1:]), 1)]
+    dirs.append((len(events), (xn - abs(xn) - 1, yn + 1)))
+    return [(r, fan.apex + P(*[u * n2 * e1[k] + v * n1 * e2[k] for k in range(3)]))
+            for r, (u, v) in dirs]
+
+
+def assert_every_state_matches_row(fan, a):
+    """Compare the index with the row at one point inside each reachable
+    state, and check that the binary search finds that state."""
+    points = state_points(fan, a)
+    assert assert_index_matches_row(fan, a, [x for _r, x in points])["index"] == len(points)
+    index = fan._pencils[a.irep]
+    for r, x in points:
+        assert _pencil_cull(index, (x - fan.apex).irep)[0] is index.live[r], (a, x, r)
+    return len(points)
+
+
 def scan_anchors_and_points(scene):
     """The fixed anchors of both scans with their placements: a1, c and b1
     on the panel fan, and c on the full cone."""
@@ -92,6 +123,7 @@ def scan_anchors_and_points(scene):
 def test_control_scan_segments(control_scene):
     for fan, a, xs in scan_anchors_and_points(control_scene):
         assert assert_index_matches_row(fan, a, xs)["index"] > len(xs) // 2
+        assert assert_every_state_matches_row(fan, a) >= len(fan._pencils[a.irep].events)
 
 
 def test_reduced_default_scan_segments():
@@ -100,6 +132,7 @@ def test_reduced_default_scan_segments():
     scene = build_scene(cfg)
     for fan, a, xs in scan_anchors_and_points(scene):
         assert assert_index_matches_row(fan, a, xs)["index"] > len(xs) // 2
+        assert assert_every_state_matches_row(fan, a) >= len(fan._pencils[a.irep].events)
 
 
 def planted_points(rng, fan, a):
@@ -139,7 +172,9 @@ def test_lattice_fans_match_the_row(closed):
         ]
         for a in anchors:
             outcomes += assert_index_matches_row(fan, a, planted_points(rng, fan, a))
-    assert fans >= 100
+            if a != apex:
+                outcomes["state"] += assert_every_state_matches_row(fan, a)
+    assert fans >= 100 and outcomes["state"] >= 1000
     assert outcomes["index"] >= 1000 and outcomes["axis"] >= 100 and outcomes["event"] >= 100
 
 
