@@ -17,12 +17,15 @@ From a fan it reads only ``apex``, ``rim``, ``n_triangles``, ``closed`` and
 **One table per fan.**  The first call on a fan builds a :class:`_FanTable`
 from the fan's ``coords()``, kept in a ``weakref.WeakKeyDictionary`` for as
 long as the fan lives: the apex and rim put on the lcm of their
-denominators, the integer spoke vectors and triangle normals, and the
-Fraction triangle tuples the barycentric location reads.  A call then puts
-a - apex and b - apex on one common denominator of their own, so every
-sign below is the sign of an integer dot, and both heights of a segment
-over a triangle carry the same positive factor; the crossing parameter
-h0 / (h0 - h1) does not depend on it.  The crossing point, the barycentric
+denominators, and the integer spoke vectors and triangle normals.  The
+Fraction triangle tuple that the barycentric location reads is built the
+first time a segment reaches that triangle's plane, and kept: a scan reads
+few of a fan's triangles (a spiral benchmark repetition at seed 1 reads 66
+of its 416), and building them all made up most of a fresh table's cost.
+A call then puts a - apex and b - apex on one common denominator of their
+own, so every sign below is the sign of an integer dot, and both heights of
+a segment over a triangle carry the same positive factor; the crossing
+parameter h0 / (h0 - h1) does not depend on it.  The crossing point, the barycentric
 location (with its ``u + w1 + w2 == n . n`` check), the coplanar clip and
 the witness stay in Fractions.
 
@@ -48,9 +51,10 @@ solves the triangles first, first + 1, ... and wraps around the fan
 interior contact.  Its answer is an ``any`` over every triangle, so ``first``
 changes how many triangles it solves before it answers, never the answer:
 a "yes" is still its own solve of one triangle, and a "no" still solves
-them all.  The verifier passes the triangle where the fast route found the
-interior, so a "yes" solves that triangle alone; the start is a plain int,
-and this module reads nothing else of the fast route's result.
+them all.  The verifier passes the triangle where the fast route's walk
+first met the interior, so a "yes" solves that triangle alone; the start
+is a plain int, and this module reads nothing else of the fast route's
+result.
 
 :func:`fan_meets_interior` passes ``cull=False``.  The cull would give the
 same answers and speed up the "no" answers, which still solve every
@@ -100,15 +104,14 @@ def _scaled(vecs):
 class _FanTable:
     """What the independent route reads of one fan, computed once.
 
-    ``apex`` is the apex's Fraction triple.  ``spokes[k]`` is the integer
-    vector rim[k mod m] - apex, with the apex and every rim point put on the
-    lcm of all their denominators, so that triangle i spans spokes i and
-    i + 1.  ``normals[i]`` is the integer normal spokes[i] x spokes[i + 1],
-    and ``triangles[i]`` is the Fraction tuple (p, q, r, n) of triangle
-    i = (apex, rim[i], rim[i+1]) with n = (q - p) x (r - p), which the
-    barycentric location reads."""
+    ``apex`` is the apex's Fraction triple and ``rim`` the rim's.
+    ``spokes[k]`` is the integer vector rim[k mod m] - apex, with the apex
+    and every rim point put on the lcm of all their denominators, so that
+    triangle i spans spokes i and i + 1.  ``normals[i]`` is the integer
+    normal spokes[i] x spokes[i + 1].  :meth:`tri` gives the Fraction
+    tuple of a triangle, built on its first read and kept in ``tris``."""
 
-    __slots__ = ("apex", "spokes", "normals", "triangles")
+    __slots__ = ("apex", "rim", "spokes", "normals", "tris")
 
     def __init__(self, fan: FanDisk):
         m, count = len(fan.rim), fan.n_triangles
@@ -117,11 +120,21 @@ class _FanTable:
         ip, *irim = _scaled([p] + rim)
         spokes = [_sub(r, ip) for r in irim]
         self.apex = p
+        self.rim = rim
         self.spokes = [spokes[k % m] for k in range(count + 1)]
         self.normals = [_cross(self.spokes[i], self.spokes[i + 1]) for i in range(count)]
-        fspokes = [_sub(r, p) for r in rim]
-        self.triangles = [(p, rim[i], rim[(i + 1) % m], _cross(fspokes[i], fspokes[(i + 1) % m]))
-                          for i in range(count)]
+        self.tris = [None] * count
+
+    def tri(self, i: int):
+        """The Fraction tuple (p, q, r, n) of triangle i = (apex, rim[i],
+        rim[i+1]) with n = (q - p) x (r - p), which the barycentric location
+        reads."""
+        tri = self.tris[i]
+        if tri is None:
+            p, rim = self.apex, self.rim
+            q, r = rim[i], rim[(i + 1) % len(rim)]
+            tri = self.tris[i] = (p, q, r, _cross(_sub(q, p), _sub(r, p)))
+        return tri
 
     def cut(self, n):
         """The triangles that can meet the plane through the apex with
@@ -189,16 +202,20 @@ def _disk_feature(fan: FanDisk, i: int, feat):
     return (("apex",), ("rimvert", i), ("rimvert", j))[feat[1]]
 
 
-def _triangle_contacts(tri, a, b, d, h0, h1) -> list:
+def _triangle_contacts(table: _FanTable, i: int, a, b, d, h0, h1) -> list:
     """The ``(triangle feature, point)`` contacts of segment ab (d = b - a)
-    with the fan triangle ``tri``, given the heights h0 and h1 of a and b
+    with fan triangle i of ``table``, given the heights h0 and h1 of a and b
     over its plane, both scaled by the same positive factor.
 
     A segment across the plane is solved for its crossing parameter.  A
     segment in the plane is clipped by barycentric positivity; its contacts
     are the ends of the clipped piece and, when that has positive length,
     its midpoint, which lies in the open triangle or inside an edge (a
-    vertex is no midpoint of two points of the triangle)."""
+    vertex is no midpoint of two points of the triangle).  The triangle's
+    Fraction tuple is read only for a segment that reaches its plane."""
+    if (h0 > 0 and h1 > 0) or (h0 < 0 and h1 < 0):
+        return []
+    tri = table.tri(i)
     if h0 == 0 and h1 == 0:
         lo, hi = Fraction(0), Fraction(1)
         for fa, fb in zip(_tri_barycentric(tri, a), _tri_barycentric(tri, b)):
@@ -213,8 +230,6 @@ def _triangle_contacts(tri, a, b, d, h0, h1) -> list:
         xs = [_along(a, t, d) for t in ((lo,) if lo == hi else (lo, hi, (lo + hi) / 2))]
     elif h0 == 0 or h1 == 0:
         xs = [a if h0 == 0 else b]
-    elif (h0 > 0) == (h1 > 0):
-        return []
     else:
         xs = [_along(a, Fraction(h0, h0 - h1), d)]
     contacts = []
@@ -240,7 +255,7 @@ def _contacts(fan: FanDisk, seg: Segment, cull: bool, first: int = 0):
     order = table.cut(_cross(ia, ib)) if cull else ((first + k) % count for k in range(count))
     for i in order:
         n = table.normals[i]
-        for feat, x in _triangle_contacts(table.triangles[i], a, b, d, _dot(ia, n), _dot(ib, n)):
+        for feat, x in _triangle_contacts(table, i, a, b, d, _dot(ia, n), _dot(ib, n)):
             df = _disk_feature(fan, i, feat)
             yield df, fan.feature_is_interior(df), x
 
@@ -287,7 +302,7 @@ def panel_check_bruteforce(d: FanDisk, embedding, cycle) -> Tuple[str, Optional[
         for i, n in enumerate(table.normals):
             if _dot(ix, n) != 0:
                 continue
-            feat = _bary_feature(*_tri_barycentric(table.triangles[i], x))
+            feat = _bary_feature(*_tri_barycentric(table.tri(i), x))
             if feat is None:
                 continue
             df = _disk_feature(d, i, feat)

@@ -25,6 +25,11 @@ for U = x - apex and a rim direction d, so the sign of one 2-D cross
 product is the sign of d against the plane's normal A x U.  The general
 path computes the signs as one row of dot products with that normal.
 
+One walk over a segment's live triangles (``FanDisk._walk``) has two
+consumers: ``classify_segment`` collects every contact, crossing points
+included, and ``segment_kind`` gives only the kind, stopping at the first
+interior contact and building no crossing point.
+
 Two triangles with a common apex meet away from it exactly when their
 direction cones share a direction.  Fan validation and the disk/disk check
 decide that only for the pairs whose cube-surface boxes meet: each cone's
@@ -88,8 +93,8 @@ def _in_cone(w, a, b, n) -> bool:
 
 def _side_row(n, dirs) -> bytes:
     """The sign (plus 1) of each integer direction in ``dirs`` against the
-    integer normal ``n``.  :meth:`FanDisk.classify_segment` culls a segment's
-    triangles with the row of its plane's normal."""
+    integer normal ``n``.  The fan's walk (:meth:`FanDisk._walk`) culls a
+    segment's triangles with the row of its plane's normal."""
     n0, n1, n2 = n
     return bytes([(v > 0) - (v < 0) + 1
                   for v in [n0 * x + n1 * y + n2 * z for x, y, z, _ in dirs]])
@@ -422,7 +427,7 @@ class FanDisk:
     def locate_point(self, p: ExactPoint) -> Optional[DiskFeature]:
         """Locate a point on the disk, or None if it is not on the carrier.
         Triangle i is tried only when p - apex is orthogonal to its cached
-        integer normal, the plane test :meth:`classify_segment` makes."""
+        integer normal, the plane test the fan's walk makes."""
         if p == self.apex:
             return ("apex",)
         w = (p - self.apex).irep
@@ -449,26 +454,20 @@ class FanDisk:
 
     def index_endpoint(self, a: ExactPoint) -> None:
         """Build and keep the pencil index of ``a``, so that
-        :meth:`classify_segment` culls the segments that start at ``a`` by
+        the walk (:meth:`_walk`) culls the segments that start at ``a`` by
         a binary search instead of a row.  Registering a point again, or the
         apex, keeps nothing new.  The results do not change."""
         A = (a - self.apex).irep
         if a.irep not in self._pencils and A[:3] != (0, 0, 0):
             self._pencils[a.irep] = _pencil_index(A, self._idirs)
 
-    def classify_segment(self, s: Segment) -> "DiskSegmentResult":
-        """Exact classification of a segment against this disk.
+    def _walk(self, s: Segment, crossing: bool = True):
+        """Yield ``(i, contact)`` for each contact of segment ``s`` with each
+        live triangle i, in increasing i, with the kernel's triangle
+        feature.  With ``crossing`` false a proper crossing's contact
+        carries no point; a consumer that stops early builds none.
 
-        meets-interior iff the segment intersects the disk's interior (open
-        triangles, open shared spokes, and the apex for closed fans);
-        boundary-only iff it meets the disk only in its boundary.  The
-        contacts are the kernel's :class:`Contact`s with the triangle feature
-        mapped to the disk feature, sorted by feature; contacts on shared
-        features are reported once.  A straight segment meets each disk
-        feature in at most one connected set, so contacts are keyed by
-        feature, and a contact is interior when its disk feature is.
-
-        One sign row per segment decides which triangles are visited.  With
+        One sign row per segment decides which triangles are live.  With
         N = (a - apex) x (b - apex), the normal of plane(apex, a, b), entry k
         of the row is the sign of N . (rim[k] - apex), which is
         ``orient3d(a, b, apex, rim[k])``; it also serves as the spoke test of
@@ -479,30 +478,22 @@ class FanDisk:
         zero (apex, a and b collinear, an endpoint at the apex included) the
         row is all zeros and every triangle is visited, as in the full loop.
 
-        When ``a`` was registered with :meth:`index_endpoint`, the kept
+        When ``a`` was registered with :meth:`index_endpoint`, the live
         triangles and the entries come from its pencil index instead: with
         U2 = ((b - apex) . e1, (b - apex) . e2), entry k is the sign of
         cross2(U2, d2_k) (see the module docstring), and a binary search of
         U2 among the rim directions' angles about the line apex-a names the
-        state whose kept triangles were listed when the index was built.
+        state whose live triangles were listed when the index was built.
         The row decides as before when U2 = 0 (b on that line, so N = 0) and
         when U2 lies on a rim direction's angle (apex, a, b and a rim point
         coplanar); segments from other points always take the row.
 
-        Each visited triangle is decided by the kernel's
+        Each live triangle is decided by the kernel's
         ``_contacts_from_signs``: the plane sides of a and b are integer dot
         products with the triangle's cached normal, and the edge signs of a
         proper crossing are the two spoke entries of the row and one
-        ``orient3d`` against the rim chord.  An overlap's endpoints may rest
-        on finer features (edges or vertices); those are enumerated too.
+        ``orient3d`` against the rim chord.
         """
-        entries = {}
-
-        def add(i, kind, tri_feat, point=None, seg=None):
-            dfeat = self._map_feature(i, tri_feat)
-            if dfeat not in entries:
-                entries[dfeat] = Contact(kind, dfeat, point, seg)
-
         va = (s.a - self.apex).irep
         vb = (s.b - self.apex).irep
         index = self._pencils.get(s.a.irep)
@@ -516,19 +507,67 @@ class FanDisk:
         for i in live:
             n, tri = self._inormals[i], self.triangles[i]
             edges = lambda: (spoke(i), orient3d(s.a, s.b, tri.q, tri.r), -spoke(i + 1))
-            for c in _contacts_from_signs(s, tri, sign(idot(n, va)), sign(idot(n, vb)), edges):
-                add(i, c.kind, c.feature, c.point, c.seg)
-                if c.kind != "segment":
-                    continue
-                for endpoint in c.seg:
-                    efeat = _locate_in_plane(endpoint, tri)
-                    if efeat is not None and efeat != c.feature:
-                        add(i, "point", efeat, point=endpoint)
+            for c in _contacts_from_signs(s, tri, sign(idot(n, va)), sign(idot(n, vb)), edges,
+                                          crossing):
+                yield i, c
+
+    def classify_segment(self, s: Segment) -> "DiskSegmentResult":
+        """Exact classification of a segment against this disk.
+
+        meets-interior iff the segment intersects the disk's interior (open
+        triangles, open shared spokes, and the apex for closed fans);
+        boundary-only iff it meets the disk only in its boundary.  The
+        contacts are the kernel's :class:`Contact`s with the triangle feature
+        mapped to the disk feature, sorted by feature; contacts on shared
+        features are reported once.  A straight segment meets each disk
+        feature in at most one connected set, so contacts are keyed by
+        feature, and a contact is interior when its disk feature is.
+
+        Every contact of the live triangles (:meth:`_walk`) is collected,
+        crossing points included.  An overlap's endpoints may rest on finer
+        features (edges or vertices); those are enumerated too.
+        """
+        entries = {}
+
+        def add(i, kind, tri_feat, point=None, seg=None):
+            dfeat = self._map_feature(i, tri_feat)
+            if dfeat not in entries:
+                entries[dfeat] = Contact(kind, dfeat, point, seg)
+
+        for i, c in self._walk(s):
+            add(i, c.kind, c.feature, c.point, c.seg)
+            if c.kind != "segment":
+                continue
+            for endpoint in c.seg:
+                efeat = _locate_in_plane(endpoint, self.triangles[i])
+                if efeat is not None and efeat != c.feature:
+                    add(i, "point", efeat, point=endpoint)
         contacts = tuple(entries[f] for f in sorted(entries, key=_feature_key))
         for c in contacts:
             if self.feature_is_interior(c.feature):
                 return DiskSegmentResult("meets-interior", contacts, witness=c.witness_point())
         return DiskSegmentResult("boundary-only" if contacts else "disjoint", contacts)
+
+    def segment_kind(self, s: Segment, discount: Optional[DiskFeature] = None) -> "SegmentKind":
+        """The kind :meth:`classify_segment` gives ``s`` once the contact on
+        the rim-vertex feature ``discount`` is dropped (None drops nothing),
+        read from the same walk, which stops at the first interior contact
+        and builds no crossing point.
+
+        A "meets-interior" names the live triangle of that contact, which
+        holds an interior point of the segment and the disk.  A "disjoint"
+        is the whole answer: :meth:`classify_segment` would keep no contact
+        and give no witness.  A rim vertex is a single point, so its only
+        contact is that point; an overlap's finer endpoint features are
+        never interior unless its own feature is, so they do not change the
+        kind."""
+        touched = False
+        for i, c in self._walk(s, crossing=False):
+            feature = self._map_feature(i, c.feature)
+            if self.feature_is_interior(feature):
+                return SegmentKind("meets-interior", i)
+            touched = touched or feature != discount
+        return SegmentKind("boundary-only" if touched else "disjoint")
 
     # -- serialization helpers ----------------------------------------------
 
@@ -560,6 +599,15 @@ class DiskSegmentResult:
     kind: str  # 'disjoint' | 'boundary-only' | 'meets-interior'
     contacts: Tuple[Contact, ...] = ()  # features are disk features
     witness: Optional[ExactPoint] = None
+
+
+class SegmentKind(NamedTuple):
+    """:meth:`FanDisk.segment_kind`'s answer: the kind, and for a
+    "meets-interior" the live triangle where the walk first met the disk's
+    interior (0 otherwise)."""
+
+    kind: str  # 'disjoint' | 'boundary-only' | 'meets-interior'
+    triangle: int = 0
 
 
 # ---------------------------------------------------------------------------

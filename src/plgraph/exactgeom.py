@@ -543,7 +543,8 @@ def _coplanar_segment_triangle(s: Segment, tri: Triangle) -> list:
     return [Contact("segment", ("chord",), seg=tuple(pts))]
 
 
-def _contacts_from_signs(s: Segment, tri: Triangle, da: int, db: int, edge_signs) -> list:
+def _contacts_from_signs(s: Segment, tri: Triangle, da: int, db: int, edge_signs,
+                         crossing: bool = True) -> list:
     """The contacts of segment ab with a closed triangle, from the signs
     ``da`` and ``db`` of a and b against the triangle's plane (those of
     ``orient3d(p, q, r, a)`` and ``orient3d(p, q, r, b)``).
@@ -553,7 +554,8 @@ def _contacts_from_signs(s: Segment, tri: Triangle, da: int, db: int, edge_signs
     is ``edge_signs()`` called; it returns the signs of
     ``orient3d(a, b, p, q)``, ``orient3d(a, b, q, r)`` and
     ``orient3d(a, b, r, p)``, and the segment meets the closed triangle
-    exactly when each nonzero one is ``-da``.
+    exactly when each nonzero one is ``-da``.  With ``crossing`` false the
+    contact of such a proper crossing carries its feature but no point.
     """
     if da == 0 and db == 0:
         return _coplanar_segment_triangle(s, tri)
@@ -567,7 +569,8 @@ def _contacts_from_signs(s: Segment, tri: Triangle, da: int, db: int, edge_signs
     for x in edges:
         if x != 0 and x != -da:
             return []
-    return [Contact("point", edge_sign_feature(*edges), point=plane_crossing(tri, s.a, s.b))]
+    point = plane_crossing(tri, s.a, s.b) if crossing else None
+    return [Contact("point", edge_sign_feature(*edges), point=point)]
 
 
 def segment_triangle_contacts(s: Segment, tri: Triangle) -> list:

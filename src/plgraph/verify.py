@@ -16,20 +16,33 @@ touch), every sampled near-sphere point with z above the center must send a
 segment through the cone's interior.  Every such pair is confirmed through
 the independent route.
 
-**One confirmation rule.**  Both scans keep the fan's
-:class:`~plgraph.disks.DiskSegmentResult` (anchor-discounted for the star's
-segments and the equator premise) and confirm it with :func:`_recheck`, the
-only caller of :mod:`plgraph.crosscheck`, which shares no predicate with the
-fast route; a disagreement raises.  A "meets-interior", and every answer
-with no discount (each equator pair), goes to the independent interior
-test, which starts at the fan triangle where the fast route found the
-interior (:func:`_start_triangle`), so a "yes" solves that one triangle.
-The start changes only the order in which the independent route solves
-triangles, never its answer.  Every other star answer, and a
+**Kinds from the walk, contacts for the report.**  Both scans decide each
+segment with :meth:`~plgraph.disks.FanDisk.segment_kind`, the fan's
+early-exit walk over its live triangles (anchor-discounted for the star's
+segments and the equator premise): it stops at the first interior contact
+and builds no crossing point.  A full
+:class:`~plgraph.disks.DiskSegmentResult` from
+:meth:`~plgraph.disks.FanDisk.classify_segment` is built only for what a
+report writes: the non-disjoint segments of the star's minimal witnesses
+(during the scan), an equator pair called "boundary-only" (its features),
+and, for ``StarReport.to_jsonable(full=True)``, every other placement's
+non-disjoint segments, when the report is serialized
+(:func:`_with_results`).  A "disjoint" answer already is the full result:
+no kept contact and no witness.
+
+**One confirmation rule.**  Each fast answer a scan confirms goes to
+:func:`_recheck`, the only caller of :mod:`plgraph.crosscheck`, which shares
+no predicate with the fast route; a disagreement raises.  A
+"meets-interior", and every answer with no discount (each equator pair),
+goes to the independent interior test, which starts at the triangle the
+walk names (where it first met the interior), so a "yes" solves that one
+triangle.  The start changes only the order in which the independent route
+solves triangles, never its answer.  Every other star answer, and a
 "boundary-only", is then confirmed by recomputing every contact over the
 whole fan.
 
-Not confirmed: the equator premise (the bottom anchor's segment missing the
+Not confirmed, the same whether a kind comes from the walk or from full
+contacts: the equator premise (the bottom anchor's segment missing the
 cone), the boundary-only/disjoint split of an equator pair the fast route
 calls disjoint (it is confirmed only as not meeting the interior), and the
 segments of star placements above the minimum.
@@ -44,11 +57,11 @@ answers are the same either way.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from . import crosscheck
-from .disks import DiskSegmentResult, FanDisk
+from .disks import DiskSegmentResult, FanDisk, SegmentKind
 from .errors import ConfigError
 from .exactgeom import ExactPoint, Segment
 from .jsonio import point_to_json
@@ -77,14 +90,21 @@ def _segment_jsonable(res: DiskSegmentResult) -> dict:
 
 @dataclass(frozen=True)
 class Placement:
+    """One grid placement.  ``segments`` holds the walk's answer for each
+    attachment segment (a1x, cx, b1x); ``results`` their full results, once
+    built (:func:`_with_results`), which the report entry needs."""
+
     index: int
     x: ExactPoint
-    segments: Tuple[DiskSegmentResult, ...] = ()
+    segments: Tuple[SegmentKind, ...] = ()
     blocked: int = 0
     skipped: bool = False
     skip_reason: Optional[str] = None
+    results: Tuple[DiskSegmentResult, ...] = ()
 
     def to_jsonable(self) -> dict:
+        if len(self.results) != len(self.segments):
+            raise ValueError(f"placement {self.index}: contacts not built")
         out = {
             "index": self.index,
             "x": point_to_json(self.x),
@@ -94,7 +114,7 @@ class Placement:
             out["skip_reason"] = self.skip_reason
         if self.segments:
             out["segments"] = {
-                name: _segment_jsonable(res) for name, res in zip(SEGMENT_NAMES, self.segments)
+                name: _segment_jsonable(res) for name, res in zip(SEGMENT_NAMES, self.results)
             }
             out["blocked"] = self.blocked
         return out
@@ -109,6 +129,10 @@ class StarReport:
     skipped_count: int
     recheck_count: int
     recheck_all_match: bool
+    # The panel fan and the anchors with their discounted features, from
+    # which to_jsonable(full=True) builds the placements' contacts.
+    fan: Optional[FanDisk] = field(default=None, repr=False, compare=False)
+    anchors: tuple = field(default=(), repr=False, compare=False)
 
     @property
     def evaluated_count(self) -> int:
@@ -138,7 +162,8 @@ class StarReport:
         if manifest is not None:
             out["manifest"] = manifest
         if full:
-            out["placements"] = [p.to_jsonable() for p in self.placements]
+            out["placements"] = [_with_results(self.fan, self.anchors, p).to_jsonable()
+                                 for p in self.placements]
         else:
             out["witnesses"] = [p.to_jsonable() for p in self.witnesses()]
         return out
@@ -154,31 +179,33 @@ def _classify_with_discount(fan: FanDisk, anchor: ExactPoint, anchor_feature,
     return DiskSegmentResult(res.kind if kept else "disjoint", kept, res.witness)
 
 
-def _start_triangle(fan: FanDisk, features) -> int:
-    """The fan triangle at the first interior feature among ``features``:
-    ``("face", i)`` and ``("spoke", i)`` name triangle i, the apex names
-    triangle 0, and with no interior feature it is 0.  The independent
-    interior test starts there; its answer does not depend on the start."""
-    for f in features:
-        if fan.feature_is_interior(f):
-            return f[1] if f[0] in ("face", "spoke") else 0
-    return 0
+def _with_results(fan: FanDisk, anchors, p: Placement) -> Placement:
+    """``p`` with the full result of each attachment segment.  A "disjoint"
+    walk answer is one already; the other segments are classified with the
+    anchor's discount.  A placement whose results are built is returned as
+    it is."""
+    if len(p.results) == len(p.segments):
+        return p
+    results = tuple(
+        DiskSegmentResult("disjoint") if answer.kind == "disjoint"
+        else _classify_with_discount(fan, anchor, feat, p.x)
+        for (anchor, feat), answer in zip(anchors, p.segments))
+    return replace(p, results=results)
 
 
-def _recheck(fan: FanDisk, seg: Segment, fast: DiskSegmentResult, anchor_feature=None) -> None:
-    """Confirm the fast answer ``fast`` for ``seg`` through the independent
-    route, or raise.  ``anchor_feature`` is the discounted rim vertex, as in
-    :func:`_classify_with_discount`.
+def _recheck(fan: FanDisk, seg: Segment, fast: SegmentKind, anchor_feature=None) -> None:
+    """Confirm the walk's answer ``fast`` for ``seg`` through the
+    independent route, or raise.  ``anchor_feature`` is the discounted rim
+    vertex, as in :meth:`~plgraph.disks.FanDisk.segment_kind`.
 
     A "meets-interior", and every answer with no discount, is confirmed by
-    the independent interior test from :func:`_start_triangle`.  Every
-    other discounted answer, and a "boundary-only", is then confirmed by
-    recomputing every contact.  An undiscounted "disjoint" is confirmed
+    the independent interior test, started at the triangle the walk names.
+    Every other discounted answer, and a "boundary-only", is then confirmed
+    by recomputing every contact.  An undiscounted "disjoint" is confirmed
     only as not meeting the interior."""
     meets = fast.kind == "meets-interior"
     if meets or anchor_feature is None:
-        start = _start_triangle(fan, (c.feature for c in fast.contacts))
-        if crosscheck.fan_meets_interior(fan, seg, start) != meets:
+        if crosscheck.fan_meets_interior(fan, seg, fast.triangle) != meets:
             raise AssertionError(f"independent recheck disagrees on {seg}: {fast.kind} "
                                  f"vs meets-interior={not meets}")
     if not meets and (anchor_feature is not None or fast.kind == "boundary-only"):
@@ -206,14 +233,11 @@ def _evaluate_placement(scene: Scene, anchors, k: int, x: ExactPoint) -> Placeme
     if x == scene.v:
         return Placement(k, x, skipped=True, skip_reason="coincides-with-apex")
     fan = scene.gamma_prime
-    statuses = tuple(
-        _classify_with_discount(fan, anchor, feat, x) for anchor, feat in anchors
-    )
-    if any(st.kind == "boundary-only" for st in statuses):
-        return Placement(k, x, segments=statuses, skipped=True,
-                         skip_reason="boundary-touch")
-    blocked = sum(1 for st in statuses if st.kind == "meets-interior")
-    return Placement(k, x, segments=statuses, blocked=blocked)
+    kinds = tuple(fan.segment_kind(Segment(anchor, x), feat) for anchor, feat in anchors)
+    if any(st.kind == "boundary-only" for st in kinds):
+        return Placement(k, x, segments=kinds, skipped=True, skip_reason="boundary-touch")
+    blocked = sum(1 for st in kinds if st.kind == "meets-interior")
+    return Placement(k, x, segments=kinds, blocked=blocked)
 
 
 _WORKER_STATE: dict = {}
@@ -262,14 +286,17 @@ def verify_star(scene: Scene, cfg: Optional[SceneConfig] = None,
     three attachment segments meet the panel fan's interior.  The summary
     carries the minimum over non-degenerate placements and every placement
     attaining it, each re-verified by the independent brute-force route (a
-    mismatch raises).  The scan is deterministic for a fixed grid; placements
+    mismatch raises) and carrying its segments' full contacts; the other
+    placements carry the walk's answers, and ``to_jsonable(full=True)``
+    builds their contacts.  The scan is deterministic for a fixed grid; placements
     are independent, so ``threads > 1`` distributes them across worker
     processes (see :func:`_parallel_map`) without changing the report.
     """
     cfg = cfg or scene.config
+    fan = scene.gamma_prime
     anchors = _anchor_data(scene)
     for anchor, _feat in anchors:
-        scene.gamma_prime.index_endpoint(anchor)
+        fan.index_endpoint(anchor)
     grid_points = cfg.grid.placements(scene.v, cfg.epsilon)
     placements = _parallel_map(_evaluate_placement, (scene, anchors), grid_points, threads)
     histogram: Dict[int, int] = {}
@@ -282,10 +309,12 @@ def verify_star(scene: Scene, cfg: Optional[SceneConfig] = None,
     evaluated = [p for p in placements if not p.skipped]
     min_blocked = min((p.blocked for p in evaluated), default=None)
     witnesses = [p for p in evaluated if p.blocked == min_blocked]
-    # Independent re-verification of every minimal witness.
+    # Independent re-verification of every minimal witness, then the
+    # contacts that the report writes for it.
     for p in witnesses:
-        for (anchor, feat), res in zip(anchors, p.segments):
-            _recheck(scene.gamma_prime, Segment(anchor, p.x), res, feat)
+        for (anchor, feat), answer in zip(anchors, p.segments):
+            _recheck(fan, Segment(anchor, p.x), answer, feat)
+        placements[p.index] = _with_results(fan, anchors, p)
     return StarReport(
         placements=tuple(placements),
         min_blocked=min_blocked,
@@ -294,6 +323,8 @@ def verify_star(scene: Scene, cfg: Optional[SceneConfig] = None,
         skipped_count=skipped,
         recheck_count=len(witnesses),
         recheck_all_match=True,
+        fan=fan,
+        anchors=anchors,
     )
 
 
@@ -376,29 +407,29 @@ def _equator_row(scene: Scene, c_feature, samples, k: int, x: ExactPoint):
     delta = scene.delta_disk
     if x == scene.v:
         return None
-    st = _classify_with_discount(delta, scene.c, c_feature, x)
-    if st.kind != "disjoint":
+    if delta.segment_kind(Segment(scene.c, x), c_feature).kind != "disjoint":
         return None
     blocked = 0
     counter = []
     degenerate = []
     for p in samples:
         seg = Segment(p, x)
-        res = delta.classify_segment(seg)
-        _recheck(delta, seg, res)
-        if res.kind == "meets-interior":
+        answer = delta.segment_kind(seg)
+        _recheck(delta, seg, answer)
+        if answer.kind == "meets-interior":
             blocked += 1
             continue
         rec = {
             "placement_index": k,
             "x": point_to_json(x),
             "p": point_to_json(p),
-            "classification": res.kind,
+            "classification": answer.kind,
         }
-        if res.kind == "boundary-only":
+        if answer.kind == "boundary-only":
             # A measure-zero graze of the disk's boundary says nothing
             # about its interior; reported, but not a counterexample.
-            rec["features"] = [_feature_jsonable(c.feature) for c in res.contacts]
+            contacts = delta.classify_segment(seg).contacts
+            rec["features"] = [_feature_jsonable(c.feature) for c in contacts]
             degenerate.append(rec)
         else:
             counter.append(rec)

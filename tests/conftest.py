@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from plgraph.scene import build_scene, control_short_arc_config, default_paper_config
+from plgraph.scene import GridSpec, build_scene, control_short_arc_config, default_paper_config
 from plgraph.verify import check_equator_claim, verify_star
 
 
@@ -61,3 +61,11 @@ def control_equator(control_scene):
     t0 = time.monotonic()
     report = check_equator_claim(control_scene, sample_count=5)
     return Timed(report, time.monotonic() - t0)
+
+
+@pytest.fixture(scope="session")
+def reduced_default_scene():
+    """The default scene with a reduced grid: 1 shell, icosphere frequency 4."""
+    cfg = default_paper_config()
+    cfg.grid = GridSpec(shells=1, frequency=4)
+    return build_scene(cfg)

@@ -6,9 +6,10 @@ walk over the module checks that it takes only ``FanDisk``, ``ExactPoint``
 and ``Segment`` from plgraph, reads no underscore attribute of another
 object (a fan's cached integer tables, say), reads no point's ``irep`` (the
 canonical integers the fast route computes on), reads no attribute of a
-fast-route result (``.contacts``, ``.witness``, ``.kind``) or any
-``.status``, and names none of the fast route's predicates.  The only thing the fast route
-hands over is the integer triangle where ``fan_meets_interior`` starts.
+fast-route result (``.contacts``, ``.witness``, ``.kind``, ``.triangle``) or
+any ``.status``, and names none of the fast route's predicates.  The only
+thing the fast route hands over is the integer triangle where
+``fan_meets_interior`` starts.
 Result fields are checked as attributes only: a local name ``kind`` is the
 module's own.
 """
@@ -24,10 +25,10 @@ FAST_ROUTE_NAMES = {"classify_segment", "orient3d", "icross", "idot", "sign",
                     "_plane_form", "_height", "_crossing", "_edge_forms",
                     "index_endpoint", "_first_meeting", "_side_rows", "_side_row",
                     "_cones_share_direction", "_pencil_index", "_pencil_cull",
-                    "_box_pairs", "_cone_boxes"}
-# The fields of the fast route's DiskSegmentResult, and ``status``, the name
-# a report gives a segment's kind.
-FAST_RESULT_FIELDS = {"contacts", "witness", "kind", "status"}
+                    "_box_pairs", "_cone_boxes", "segment_kind", "_walk"}
+# The fields of the fast route's DiskSegmentResult and SegmentKind, and
+# ``status``, the name a report gives a segment's kind.
+FAST_RESULT_FIELDS = {"contacts", "witness", "kind", "triangle", "status"}
 
 
 def dependence(source: str) -> list:

@@ -4,11 +4,13 @@
 only the fan triangles whose two rim points are not strictly on one side of
 plane(apex, a, b), and ``crosscheck`` takes its signs from a per-fan table of
 integers.  Each route is compared here with a full Fraction loop over every
-triangle, kept in this file: on every scan segment of the control scene and
-of a reduced default grid, and on seeded segments against integer and
-rational lattice fans with the degenerate cases planted.  On the integer
-lattice fans, rigid integer moves of the whole picture and a reversal of an
-open fan's rim are checked to move ``classify_segment``'s answer with it.
+triangle, kept in this file, and the early-exit walk
+(``FanDisk.segment_kind``) with ``classify_segment`` (``walk_check``): on
+every scan segment of the control scene and of a reduced default grid, and
+on seeded segments against integer and rational lattice fans with the
+degenerate cases planted.  On the integer lattice fans, rigid integer moves
+of the whole picture and a reversal of an open fan's rim are checked to move
+``classify_segment``'s answer with it.
 """
 
 import gc
@@ -45,12 +47,8 @@ from plgraph.exactgeom import (
     sign,
 )
 from plgraph.scene import GridSpec, build_scene, default_paper_config
-from plgraph.verify import (
-    _anchor_data,
-    _classify_with_discount,
-    _start_triangle,
-    upper_sample_points,
-)
+from plgraph.verify import _anchor_data, _classify_with_discount, upper_sample_points
+from walk_check import assert_walk_matches, solved_from
 
 P = ExactPoint
 
@@ -188,16 +186,15 @@ def full_contact_features(fan, seg):
 
 
 def assert_both_routes_match(fan, seg):
-    """Compare both routes with the full loops, the interior test also from
-    the triangle the fast route names; return the interior answer."""
+    """Compare both routes with the full loops, and the walk with the fast
+    route (the interior test also from the triangle the walk names); return
+    the interior answer."""
     fast = fan.classify_segment(seg)
     assert fast == full_classify_segment(fan, seg), seg
     full = full_contact_features(fan, seg)
     assert fan_contact_features(fan, seg) == full, seg
     assert fan_meets_interior(fan, seg) == full[0], seg
-    start = _start_triangle(fan, [c.feature for c in fast.contacts])
-    if start:
-        assert fan_meets_interior(fan, seg, start) == full[0], seg
+    assert_walk_matches(fan, seg, fast)
     return full[0]
 
 
@@ -267,6 +264,8 @@ def lattice_segments(rng, fan, lattice=LATTICE):
         (midpoint(r0, r1), rng.choice(lattice)),               # endpoint on a rim chord
         (midpoint(apex, r0), midpoint(r0, r1)),                # coplanar with triangle k
         (r0 + (r0 - other), other),                            # rim point on plane(o, a, b)
+        (midpoint(apex, r1), r1 + (r1 - apex)),                # along the spoke apex -> r1
+        (r0, rng.choice(lattice)),                             # endpoint on a rim vertex
     ]
     return [Segment(a, b) for a, b in segs if a != b]
 
@@ -293,7 +292,21 @@ def degenerate_kinds(fan, seg):
                 kinds.add("endpoint on a rim chord")
     if not collinear(a, b, apex) and any(orient3d(a, b, apex, r) == 0 for r in fan.rim):
         kinds.add("rim point on plane(o, a, b)")
+    if any(_along_spoke(apex, r, a, b) for r in fan.rim):
+        kinds.add("along a spoke")
+    if a in fan.rim or b in fan.rim:
+        kinds.add("endpoint on a rim vertex")
     return kinds
+
+
+def _along_spoke(apex, r, a, b):
+    """Does segment ab lie on the line apex-r and overlap the open spoke
+    apex -> r in a piece of positive length?"""
+    d = r - apex
+    if not (collinear(apex, r, a) and collinear(apex, r, b)):
+        return False
+    ta, tb = ((p - apex).dot(d) / d.dot(d) for p in (a, b))
+    return max(min(ta, tb), 0) < min(max(ta, tb), 1)
 
 
 def _between(p, a, b):
@@ -304,6 +317,7 @@ def _between(p, a, b):
 ALL_KINDS = {
     "apex on line ab", "endpoint at apex", "segment through apex", "endpoint on a spoke",
     "coplanar with a triangle", "endpoint on a rim chord", "rim point on plane(o, a, b)",
+    "along a spoke", "endpoint on a rim vertex",
 }
 
 
@@ -391,16 +405,39 @@ def test_interior_test_answers_alike_from_every_start(closed, rational):
 
 
 def test_start_triangle_is_the_first_interior_feature():
+    """The walk names the first live triangle, in fan order, where it met
+    the interior, and the interior test says yes after solving it alone.
+    On the square fans below, triangle i spans rim points i and i + 1."""
     square = [P(1, 0, 0), P(0, 1, 0), P(-1, 0, 0), P(0, -1, 0)]
     closed, open_ = cone(P(0, 0, 0), square, closed=True), cone(P(0, 0, 0), square)
-    assert _start_triangle(closed, [("rimvert", 1), ("spoke", 2), ("face", 1)]) == 2
-    assert _start_triangle(closed, [("face", 3), ("spoke", 1)]) == 3
-    assert _start_triangle(closed, [("apex",), ("face", 2)]) == 0
-    assert _start_triangle(closed, [("rim", 2), ("rimvert", 3)]) == 0
-    assert _start_triangle(closed, []) == 0
-    # On an open fan the apex and the outer spokes are boundary.
-    assert _start_triangle(open_, [("apex",), ("spoke", 0), ("spoke", 3), ("face", 2)]) == 2
-    assert _start_triangle(open_, [("spoke", 1)]) == 1
+    q = Fraction(1, 4)
+
+    def vertical(x, y):
+        return Segment(P(x, y, -1), P(x, y, 1))
+
+    cases = [
+        (vertical(-q, q), "meets-interior", 1, "meets-interior", 1),    # face 1
+        (vertical(q, -q), "meets-interior", 3, "disjoint", 0),          # face 3, closed only
+        (vertical(-2 * q, 0), "meets-interior", 1, "meets-interior", 1),  # spoke 2: triangles 1, 2
+        (vertical(2 * q, 0), "meets-interior", 0, "boundary-only", 0),  # spoke 0: outer when open
+        (vertical(0, 0), "meets-interior", 0, "boundary-only", 0),      # through the apex
+        (Segment(P(-2 * q, 0, 0), P(-1, 0, 0)), "meets-interior", 1,    # along spoke 2 to rim 2
+         "meets-interior", 1),
+        (vertical(2 * q, 2 * q), "boundary-only", 0, "boundary-only", 0),  # rim chord 0
+        (vertical(2, 2), "disjoint", 0, "disjoint", 0),
+    ]
+    for seg, closed_kind, closed_at, open_kind, open_at in cases:
+        for fan, kind, at in ((closed, closed_kind, closed_at), (open_, open_kind, open_at)):
+            answer = fan.segment_kind(seg)
+            assert answer == (kind, at), (seg, fan.closed)
+            assert answer.kind == fan.classify_segment(seg).kind
+            if kind == "meets-interior":
+                assert solved_from(fan, seg, at) == (True, 1), (seg, fan.closed)
+    # The anchor's own rim vertex is discounted, and only that one.
+    seg = Segment(square[1], P(-1, 1, 1))
+    assert open_.segment_kind(seg) == ("boundary-only", 0)
+    assert open_.segment_kind(seg, ("rimvert", 1)) == ("disjoint", 0)
+    assert open_.segment_kind(seg, ("rimvert", 2)) == ("boundary-only", 0)
 
 
 def test_table_cache_follows_each_fan():

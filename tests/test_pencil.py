@@ -11,9 +11,11 @@ on seeded lattice fans with the anchor at a rim vertex, on a spoke line
 beyond the rim, at a generic point and at the apex, with x planted on an
 event plane, on the axis and at the apex, and with rim directions coplanar
 with the axis; and, for the scans' anchors and the lattice fans, at one
-point inside each state's angle about the line apex-a.  The scans are
-checked to register their anchors and still call ``classify_segment`` once
-per segment, and an index to live and die with its fan and to stay small.
+point inside each state's angle about the line apex-a.  On every one of
+those segments the early-exit walk (``FanDisk.segment_kind``) is compared
+with ``classify_segment``, with and without registration (``walk_check``).
+The scans are checked to register their anchors and still walk each segment
+once, and an index to live and die with its fan and to stay small.
 """
 
 import gc
@@ -32,6 +34,7 @@ from plgraph.errors import FanConstructionError
 from plgraph.exactgeom import ExactPoint, Segment, icross
 from plgraph.scene import GridSpec, SceneConfig, build_scene, default_paper_config
 from plgraph.verify import _anchor_data, check_equator_claim, verify_star
+from walk_check import assert_walk_matches
 
 P = ExactPoint
 LATTICE = [P(x, y, z) for x in range(3) for y in range(3) for z in range(3)]
@@ -59,15 +62,16 @@ def row_reason(fan, a, x):
 
 def assert_index_matches_row(fan, a, xs):
     """Register a on the fan and compare its index with the row on every
-    segment a -> x, and classify_segment's answers before and after.
-    Returns how many segments the index decided ("index") and how many it
-    left to the row, by reason."""
+    segment a -> x, and classify_segment's answers before and after, each
+    with the walk's.  Returns how many segments the index decided ("index")
+    and how many it left to the row, by reason."""
     before = [fan.classify_segment(Segment(a, x)) for x in xs]
+    walks = [assert_walk_matches(fan, Segment(a, x), res) for x, res in zip(xs, before)]
     fan.index_endpoint(a)
     index = fan._pencils.get(a.irep)
     assert (index is None) == (a == fan.apex)
     outcomes = Counter()
-    for x, old in zip(xs, before):
+    for x, old, walk in zip(xs, before, walks):
         if index is not None:
             cull = _pencil_cull(index, (x - fan.apex).irep)
             reason = row_reason(fan, a, x)
@@ -78,6 +82,7 @@ def assert_index_matches_row(fan, a, xs):
                 assert list(cull[0]) == live, (a, x)
                 assert [cull[1](k) for k in range(len(entries))] == entries, (a, x)
         assert fan.classify_segment(Segment(a, x)) == old, (a, x)
+        assert assert_walk_matches(fan, Segment(a, x), old) == walk, (a, x)
     return outcomes
 
 
@@ -227,16 +232,16 @@ def test_planted_square_fan():
         assert fan._pencils[a.irep].tau[0] == 0
 
 
-def test_scans_call_classify_segment_once_per_segment(control_scene, monkeypatch):
+def test_scans_walk_each_segment_once(control_scene, monkeypatch):
     calls = {}
-    original = FanDisk.classify_segment
+    original = FanDisk.segment_kind
 
-    def counting(fan, s):
+    def counting(fan, s, discount=None):
         calls[id(fan)] = calls.get(id(fan), 0) + 1
-        return original(fan, s)
+        return original(fan, s, discount)
 
-    assert list(inspect.signature(original).parameters) == ["self", "s"]
-    monkeypatch.setattr(FanDisk, "classify_segment", counting)
+    assert list(inspect.signature(FanDisk.classify_segment).parameters) == ["self", "s"]
+    monkeypatch.setattr(FanDisk, "segment_kind", counting)
     scene = control_scene
     cfg = scene.config
     xs = [x for x in cfg.grid.placements(scene.v, cfg.epsilon) if x != scene.v]

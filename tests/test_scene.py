@@ -7,9 +7,9 @@ import pytest
 
 from float_points import sphere_point
 from plgraph import crosscheck
-from plgraph.disks import DiskSegmentResult, disk_disk_classify
+from plgraph.disks import SegmentKind, disk_disk_classify
 from plgraph.errors import ConfigError, SceneInvariantViolation, SpliceMismatchError
-from plgraph.exactgeom import Contact, ExactPoint, Segment
+from plgraph.exactgeom import ExactPoint, Segment
 from plgraph.graphs import LinearEmbedding, SpatialGraph, validate_embedding
 from plgraph.jsonio import canonical_dumps
 from plgraph.linking import MAX_CYCLE_LEN, pairwise_link_scan
@@ -322,13 +322,6 @@ class TestEquator:
         assert len(rep.premise_indices) == 0
 
 
-@pytest.fixture(scope="module")
-def reduced_default_scene():
-    cfg = default_paper_config()
-    cfg.grid = GridSpec(shells=1, frequency=4)
-    return build_scene(cfg)
-
-
 # The scenes of the recheck tests and the equator check's sample count on each.
 RECHECK_SCENES = {"control": 5, "reduced-default": 10}
 
@@ -400,7 +393,7 @@ class TestIndependentRecheck:
                 for wrong in ("meets-interior", "boundary-only", "disjoint"):
                     if wrong != full:
                         with pytest.raises(AssertionError, match="independent recheck disagrees"):
-                            _recheck(fan, seg, DiskSegmentResult(wrong, st.contacts), feat)
+                            _recheck(fan, seg, SegmentKind(wrong, st.triangle), feat)
                 segments += 1
         assert segments > 0
 
@@ -426,16 +419,15 @@ class TestIndependentRecheck:
         pair boundary-only is caught."""
         scene, delta = control_scene, control_scene.delta_disk
         assert control_equator.value.counter_pairs
-        classify = delta.classify_segment
-        graze = (Contact("point", ("rimvert", 0), delta.rim[0]),)
+        walk = delta.segment_kind
 
-        def grazing(seg):
-            res = classify(seg)
-            if seg.a == scene.c or res.kind != "disjoint":
-                return res
-            return DiskSegmentResult("boundary-only", graze)
+        def grazing(seg, discount=None):
+            answer = walk(seg, discount)
+            if seg.a == scene.c or answer.kind != "disjoint":
+                return answer
+            return SegmentKind("boundary-only")
 
-        monkeypatch.setattr(delta, "classify_segment", grazing)
+        monkeypatch.setattr(delta, "segment_kind", grazing)
         with pytest.raises(AssertionError, match="independent recheck disagrees"):
             check_equator_claim(scene, sample_count=5)
 
