@@ -16,18 +16,19 @@ From a fan it reads only ``apex``, ``rim``, ``n_triangles``, ``closed`` and
 
 **One table per fan.**  The first call on a fan builds a :class:`_FanTable`
 from the fan's ``coords()``, kept in a ``weakref.WeakKeyDictionary`` for as
-long as the fan lives: the apex and rim put on the lcm of their
-denominators, and the integer spoke vectors and triangle normals.  The
-Fraction triangle tuple that the barycentric location reads is built the
-first time a segment reaches that triangle's plane, and kept: a scan reads
-few of a fan's triangles (a spiral benchmark repetition at seed 1 reads 66
-of its 416), and building them all made up most of a fresh table's cost.
-A call then puts a - apex and b - apex on one common denominator of their
-own, so every sign below is the sign of an integer dot, and both heights of
-a segment over a triangle carry the same positive factor; the crossing
-parameter h0 / (h0 - h1) does not depend on it.  The crossing point, the barycentric
-location (with its ``u + w1 + w2 == n . n`` check), the coplanar clip and
-the witness stay in Fractions.
+long as the fan lives: the apex and rim put on the lcm L of their
+denominators (the table's ``scale``), and the integer spoke vectors and
+triangle normals.  The Fraction triangle tuple that the barycentric
+location reads is built the first time a segment reaches that triangle's
+plane, and kept: a scan reads few of a fan's triangles (a spiral benchmark
+repetition at seed 1 reads 66 of its 416), and building them all made up
+most of a fresh table's cost.
+A call then puts a - apex and b - apex on one common denominator s of
+their own, so every sign below is the sign of an integer dot, and both
+heights of a segment over a triangle carry the same positive factor; the
+crossing parameter h0 / (h0 - h1) does not depend on it.  The crossing
+point, the barycentric location (with its ``u + w1 + w2 == n . n`` check),
+the coplanar clip and the witness stay in Fractions.
 
 **One solver per triangle.**  :func:`_triangle_contacts` solves a segment
 against one fan triangle, and :func:`_contacts` feeds it each visited
@@ -40,9 +41,24 @@ two rim points lie strictly on one side of that plane meets the plane only
 at the apex; the segment lies in the plane, and when N is nonzero the apex
 is not on the segment's line, so the two cannot meet.  The cull is exact,
 and when N is zero (apex, a and b collinear) no dot is nonzero and every
-triangle is solved.  The surviving triangles are solved in the same order,
-so the result is the same as a full loop's.  :func:`panel_check_bruteforce`
-reaches the culled route for every graph edge.
+triangle is solved.
+
+A visited triangle whose plane the segment crosses properly (heights h0 and
+h1 of strictly opposite signs) is then tested in integers
+(:func:`_crossing_misses`): X = h0 ib - h1 ia, from the scaled a - apex and
+b - apex, is the crossing minus the apex times s (h0 - h1), and the signs of
+the crossing's three barycentric weights are those of (X x S1) . N,
+(S0 x X) . N and s (h0 - h1) N . N - L (WQ + WR) (the first two are WQ and
+WR), each times the sign of h0 - h1, with S0, S1 the triangle's spokes and
+N its normal.  A strictly negative weight means the crossing misses the
+closed triangle, which is then skipped.  The test only skips; every
+surviving triangle goes to :func:`_triangle_contacts` unchanged, so every
+reported feature and witness still comes from the parametric solve and
+the Fraction barycentrics.  A segment with an end on the plane, or in it,
+is solved as before.  Both tests are exact and the survivors are solved in
+the same order, so the result is the same as a full loop's.
+:func:`panel_check_bruteforce` reaches the culled route for every graph
+edge.
 
 **The start.**  :func:`fan_meets_interior` is the recheck of every equator
 pair and of every star witness segment the fast route finds blocked.  It
@@ -63,7 +79,11 @@ triangle (most pairs of the short-arc control), but with it control-t2's
 32), and its ``peak_rss_mb`` from 49.35 to 56.36 MB (+14.2 %) and 48.50 to
 55.11 MB (+13.6 %; 35-s runs on a 2-core host), because ``bench/run.py``
 keeps every repetition's report bytes and a faster equator fits more
-repetitions.  It waits until the benchmark keeps a digest per report.
+repetitions.  ``peak_rss_mb`` there grows by about 138 KB per repetition
+(47.1 MB at 18 repetitions, 52.1 MB at 54; seed 7), so control-t2 has room
+for only about 1.6 times as many repetitions within the 0.1 bound.  The
+same holds for the integer miss test, which mostly speeds up "no" answers
+too.  Both wait until the benchmark keeps a digest per report.
 """
 
 from __future__ import annotations
@@ -95,10 +115,11 @@ def _along(a, t, d):
 
 
 def _scaled(vecs):
-    """The Fraction triples ``vecs`` times the lcm of all their denominators:
-    integer triples, every one scaled by the same positive factor."""
+    """``(d, triples)``: d is the lcm of all the denominators of the Fraction
+    triples ``vecs``, and the triples are ``vecs`` times d, integer triples
+    every one scaled by the same positive factor."""
     d = lcm(*(c.denominator for v in vecs for c in v))
-    return [tuple(c.numerator * (d // c.denominator) for c in v) for v in vecs]
+    return d, [tuple(c.numerator * (d // c.denominator) for c in v) for v in vecs]
 
 
 class _FanTable:
@@ -106,18 +127,19 @@ class _FanTable:
 
     ``apex`` is the apex's Fraction triple and ``rim`` the rim's.
     ``spokes[k]`` is the integer vector rim[k mod m] - apex, with the apex
-    and every rim point put on the lcm of all their denominators, so that
-    triangle i spans spokes i and i + 1.  ``normals[i]`` is the integer
-    normal spokes[i] x spokes[i + 1].  :meth:`tri` gives the Fraction
-    tuple of a triangle, built on its first read and kept in ``tris``."""
+    and every rim point put on ``scale``, the lcm of all their
+    denominators, so that triangle i spans spokes i and i + 1.
+    ``normals[i]`` is the integer normal spokes[i] x spokes[i + 1].
+    :meth:`tri` gives the Fraction tuple of a triangle, built on its first
+    read and kept in ``tris``."""
 
-    __slots__ = ("apex", "rim", "spokes", "normals", "tris")
+    __slots__ = ("apex", "rim", "scale", "spokes", "normals", "tris")
 
     def __init__(self, fan: FanDisk):
         m, count = len(fan.rim), fan.n_triangles
         p = fan.apex.coords()
         rim = [q.coords() for q in fan.rim]
-        ip, *irim = _scaled([p] + rim)
+        self.scale, (ip, *irim) = _scaled([p] + rim)
         spokes = [_sub(r, ip) for r in irim]
         self.apex = p
         self.rim = rim
@@ -240,22 +262,55 @@ def _triangle_contacts(table: _FanTable, i: int, a, b, d, h0, h1) -> list:
     return contacts
 
 
+def _crossing_misses(table: _FanTable, i: int, s: int, ia, ib, h0: int, h1: int) -> bool:
+    """Whether the crossing of segment ab with the plane of triangle i
+    misses the closed triangle, decided in integers.  ``ia`` and ``ib`` are
+    a - apex and b - apex times ``s``, and h0 and h1, their heights over the
+    plane, have strictly opposite signs.
+
+    The crossing x does not depend on the segment's direction, so take
+    h0 > h1.  Then X = h0 ib - h1 ia is x - apex times s (h0 - h1) > 0.
+    With S0, S1 the triangle's spokes, N its normal and L the table's
+    scale, the weights of rim[i] and rim[i + 1] are WQ = (X x S1) . N and
+    WR = (S0 x X) . N, the weights that :func:`_tri_barycentric` gives x
+    times the positive s (h0 - h1) L^3, and the apex weight is
+    s (h0 - h1) N . N - L (WQ + WR), its weight times s (h0 - h1) L^4.  The
+    crossing misses exactly when one of them is negative; a zero weight is
+    a contact on the triangle's boundary."""
+    if h0 < h1:
+        ia, ib, h0, h1 = ib, ia, h1, h0
+    X = (h0 * ib[0] - h1 * ia[0], h0 * ib[1] - h1 * ia[1], h0 * ib[2] - h1 * ia[2])
+    n = table.normals[i]
+    wq = _dot(_cross(X, table.spokes[i + 1]), n)
+    if wq < 0:
+        return True
+    wr = _dot(_cross(table.spokes[i], X), n)
+    if wr < 0:
+        return True
+    return s * (h0 - h1) * _dot(n, n) - table.scale * (wq + wr) < 0
+
+
 def _contacts(fan: FanDisk, seg: Segment, cull: bool, first: int = 0):
     """``(disk feature, whether it is interior, point)`` for each contact of
     the segment with the fan, triangle by triangle.  With ``cull``, only the
-    triangles that can meet plane(apex, a, b) away from the apex are solved,
-    in order (see the module docstring); the others cannot meet the segment.
-    Without it, every triangle is solved, in the order first, first + 1, ...
-    around the fan (``first`` is taken modulo the triangle count)."""
+    triangles that can meet plane(apex, a, b) away from the apex are
+    visited, in order, and a visited triangle that the segment crosses
+    properly is skipped when the crossing misses it (see the module
+    docstring); neither kind can meet the segment.  Without ``cull``, every
+    triangle is solved, in the order first, first + 1, ... around the fan
+    (``first`` is taken modulo the triangle count)."""
     table = _table(fan)
     a, b = seg.a.coords(), seg.b.coords()
     d = _sub(b, a)
-    ia, ib = _scaled((_sub(a, table.apex), _sub(b, table.apex)))
+    s, (ia, ib) = _scaled((_sub(a, table.apex), _sub(b, table.apex)))
     count = len(table.normals)
     order = table.cut(_cross(ia, ib)) if cull else ((first + k) % count for k in range(count))
     for i in order:
         n = table.normals[i]
-        for feat, x in _triangle_contacts(table, i, a, b, d, _dot(ia, n), _dot(ib, n)):
+        h0, h1 = _dot(ia, n), _dot(ib, n)
+        if cull and (h0 > 0 > h1 or h0 < 0 < h1) and _crossing_misses(table, i, s, ia, ib, h0, h1):
+            continue
+        for feat, x in _triangle_contacts(table, i, a, b, d, h0, h1):
             df = _disk_feature(fan, i, feat)
             yield df, fan.feature_is_interior(df), x
 
@@ -298,7 +353,7 @@ def panel_check_bruteforce(d: FanDisk, embedding, cycle) -> Tuple[str, Optional[
             if d.closed:
                 return ("violated", ("vertex", v, ("apex",), pv))
             continue
-        ix, = _scaled((_sub(x, table.apex),))
+        _s, (ix,) = _scaled((_sub(x, table.apex),))
         for i, n in enumerate(table.normals):
             if _dot(ix, n) != 0:
                 continue

@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .disks import FanDisk, TriPatch, cone, disk_disk_classify
 from .errors import ConfigError, SceneInvariantViolation, SpliceMismatchError
-from .exactgeom import ExactPoint, Segment, polyline_segments, segment_contact
+from .exactgeom import ExactPoint, Segment, _point, polyline_segments, segment_contact
 from .jsonio import (bool_from_json, int_from_json, point_from_json, point_to_json,
                      points_from_json, rat_from_json, rat_to_json)
 
@@ -54,11 +54,6 @@ MAX_CURVE_POINTS = 2048
 _CURVE_FIELDS = ("alpha", "eta_prime", "beta")
 
 
-def rationalize_toward_zero(x: float) -> Fraction:
-    n = math.floor(abs(x) * RATIONAL_DENOM)
-    return Fraction(-n if x < 0 else n, RATIONAL_DENOM)
-
-
 # ---------------------------------------------------------------------------
 # Icosahedral direction nets
 # ---------------------------------------------------------------------------
@@ -76,6 +71,15 @@ def icosphere_directions(frequency: int) -> List[ExactPoint]:
 
     Exactly 10 f^2 + 2 directions, each with rational norm <= 1, sorted
     lexicographically for determinism.  The net refines by increasing f.
+
+    The net is built and deduplicated in floats; each float direction c
+    then becomes integers at once.  Its numerators are floor(|c| * 10^6)
+    with the sign of c, over 10^6.  When X^2 + Y^2 + Z^2 > (10^6)^2 the
+    direction is shrunk by 999999/10^6, so every direction is put on the
+    common denominator 10^12: X * 999999 for a shrunk one, X * 10^6 for the
+    others.  With one positive denominator for all, sorting those integer
+    triples gives the order of their coordinates, and each direction is
+    reduced once by :func:`~plgraph.exactgeom._point`.
     """
     if frequency < 1:
         raise ConfigError("frequency must be >= 1", "grid.frequency")
@@ -104,17 +108,17 @@ def icosphere_directions(frequency: int) -> List[ExactPoint]:
                 key = tuple(round(c, 9) for c in v)
                 if key not in seen:
                     seen[key] = v
-    dirs = []
+    D = RATIONAL_DENOM
+    nums = []
     for v in seen.values():
-        p = ExactPoint(*(rationalize_toward_zero(c) for c in v))
-        if p.norm2() > 1:
-            p = p.scale(Fraction(999999, 1000000))
-        dirs.append(p)
+        X, Y, Z = (-math.floor(-c * D) if c < 0 else math.floor(c * D) for c in v)
+        k = D - 1 if X * X + Y * Y + Z * Z > D * D else D
+        nums.append((X * k, Y * k, Z * k))
     expected = 10 * f * f + 2
-    if len(dirs) != expected:
-        raise AssertionError(f"icosphere dedupe produced {len(dirs)} of {expected} points")
-    dirs.sort(key=lambda p: p.coords())
-    return dirs
+    if len(nums) != expected:
+        raise AssertionError(f"icosphere dedupe produced {len(nums)} of {expected} points")
+    nums.sort()
+    return [_point(X, Y, Z, D * D) for X, Y, Z in nums]
 
 
 @dataclass(frozen=True)

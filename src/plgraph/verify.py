@@ -26,9 +26,9 @@ and builds no crossing point.  A full
 report writes: the non-disjoint segments of the star's minimal witnesses
 (during the scan), an equator pair called "boundary-only" (its features),
 and, for ``StarReport.to_jsonable(full=True)``, every other placement's
-non-disjoint segments, when the report is serialized
-(:func:`_with_results`).  A "disjoint" answer already is the full result:
-no kept contact and no witness.
+non-disjoint segments, when the report is serialized (:func:`_with_results`,
+across as many workers as the scan used).  A "disjoint" answer already is
+the full result: no kept contact and no witness.
 
 **One confirmation rule.**  Each fast answer a scan confirms goes to
 :func:`_recheck`, the only caller of :mod:`plgraph.crosscheck`, which shares
@@ -129,10 +129,12 @@ class StarReport:
     skipped_count: int
     recheck_count: int
     recheck_all_match: bool
-    # The panel fan and the anchors with their discounted features, from
-    # which to_jsonable(full=True) builds the placements' contacts.
+    # The panel fan, the anchors with their discounted features and the
+    # scan's thread count, with which to_jsonable(full=True) builds the
+    # placements' contacts.
     fan: Optional[FanDisk] = field(default=None, repr=False, compare=False)
     anchors: tuple = field(default=(), repr=False, compare=False)
+    threads: int = field(default=1, repr=False, compare=False)
 
     @property
     def evaluated_count(self) -> int:
@@ -162,8 +164,9 @@ class StarReport:
         if manifest is not None:
             out["manifest"] = manifest
         if full:
-            out["placements"] = [_with_results(self.fan, self.anchors, p).to_jsonable()
-                                 for p in self.placements]
+            out["placements"] = _parallel_map(
+                _full_entry, (self.fan, self.anchors, self.placements),
+                range(len(self.placements)), self.threads)
         else:
             out["witnesses"] = [p.to_jsonable() for p in self.witnesses()]
         return out
@@ -191,6 +194,14 @@ def _with_results(fan: FanDisk, anchors, p: Placement) -> Placement:
         else _classify_with_discount(fan, anchor, feat, p.x)
         for (anchor, feat), answer in zip(anchors, p.segments))
     return replace(p, results=results)
+
+
+def _full_entry(fan: FanDisk, anchors, placements, k: int, _k: int) -> dict:
+    """The report entry of ``placements[k]`` with its full results
+    (:func:`_with_results`).  :func:`_parallel_map` is given only the
+    indexes: a worker reads the placements from the state it forked with,
+    which spares pickling them (about 0.2 s of the default scene's 5,768)."""
+    return _with_results(fan, anchors, placements[k]).to_jsonable()
 
 
 def _recheck(fan: FanDisk, seg: Segment, fast: SegmentKind, anchor_feature=None) -> None:
@@ -288,9 +299,10 @@ def verify_star(scene: Scene, cfg: Optional[SceneConfig] = None,
     attaining it, each re-verified by the independent brute-force route (a
     mismatch raises) and carrying its segments' full contacts; the other
     placements carry the walk's answers, and ``to_jsonable(full=True)``
-    builds their contacts.  The scan is deterministic for a fixed grid; placements
-    are independent, so ``threads > 1`` distributes them across worker
-    processes (see :func:`_parallel_map`) without changing the report.
+    builds their contacts, with ``threads`` workers too.  The scan is
+    deterministic for a fixed grid; placements are independent, so
+    ``threads > 1`` distributes them across worker processes (see
+    :func:`_parallel_map`) without changing the report.
     """
     cfg = cfg or scene.config
     fan = scene.gamma_prime
@@ -325,6 +337,7 @@ def verify_star(scene: Scene, cfg: Optional[SceneConfig] = None,
         recheck_all_match=True,
         fan=fan,
         anchors=anchors,
+        threads=threads,
     )
 
 
@@ -388,14 +401,11 @@ def upper_sample_points(scene: Scene, sample_count: int) -> List[ExactPoint]:
         raise ConfigError(f"samples must be <= {MAX_SAMPLES}", "samples")
     f = 4
     while True:
-        dirs = icosphere_directions(f)
-        out = []
-        for d in dirs:
-            p = scene.v + d.scale(scene.config.sphere_radius)
-            if p.z > scene.v.z:
-                out.append(p)
-        if len(out) >= sample_count:
-            return out[:sample_count]
+        # The radius is positive (SceneConfig.validate), so a sample is
+        # above the center exactly when its direction points up.
+        up = [d for d in icosphere_directions(f) if d.z > 0]
+        if len(up) >= sample_count:
+            return [scene.v + d.scale(scene.config.sphere_radius) for d in up[:sample_count]]
         f *= 2
 
 

@@ -8,9 +8,11 @@ triangle, kept in this file, and the early-exit walk
 (``FanDisk.segment_kind``) with ``classify_segment`` (``walk_check``): on
 every scan segment of the control scene and of a reduced default grid, and
 on seeded segments against integer and rational lattice fans with the
-degenerate cases planted.  On the integer lattice fans, rigid integer moves
-of the whole picture and a reversal of an open fan's rim are checked to move
-``classify_segment``'s answer with it.
+degenerate cases planted.  ``crosscheck``'s integer miss test is checked on
+segments planted to cross a triangle's plane on each of its boundary
+features and one step outside each.  On the integer lattice fans, rigid
+integer moves of the whole picture and a reversal of an open fan's rim are
+checked to move ``classify_segment``'s answer with it.
 """
 
 import gc
@@ -20,6 +22,7 @@ from fractions import Fraction
 
 import pytest
 
+from plgraph import crosscheck
 from plgraph.crosscheck import (
     _along,
     _bary_feature,
@@ -544,3 +547,80 @@ def test_open_fan_rim_reversal_maps_the_features():
             assert {c.feature: (c.point, c.seg) for c in got.contacts} == \
                 {reversed_feature(c.feature, m): (c.point, c.seg) for c in res.contacts}, (seed, seg)
     assert fans >= 50
+
+
+# A fan on rational points, tilted out of every coordinate plane,
+# whose table scale L (the lcm of its denominators) is 60; the planted
+# segments' ends have denominators that make their own scale s > 1 too.
+TILTED_APEX = P(Fraction(1, 2), Fraction(-1, 3), Fraction(1, 4))
+TILTED_RIM = [TILTED_APEX + P(*v) for v in (
+    (2, 0, Fraction(1, 3)), (Fraction(1, 5), 2, Fraction(-1, 2)),
+    (-2, Fraction(1, 4), Fraction(1, 5)), (0, -2, Fraction(-1, 3)))]
+# The in-plane step of the "one step outside" points, as a fraction of the
+# distance from the planted point to the apex or to the third vertex.
+STEP = Fraction(1, 8)
+
+
+def planted_points(fan, i):
+    """``(name, x, feature)`` for points in the plane of fan triangle i =
+    (p, q, r): on its rim chord, on each spoke, at the rim vertex q, and one
+    step outside the triangle from each of those.  ``feature`` is the disk
+    feature a segment crossing the plane at x must touch, None outside."""
+    j = (i + 1) % len(fan.rim)
+    p, q, r = fan.apex, fan.rim[i], fan.rim[j]
+    chord, near, far = midpoint(q, r), midpoint(p, q), midpoint(p, r)
+    return [
+        ("on the chord", chord, ("rim", i)),
+        ("on the near spoke", near, ("spoke", i)),
+        ("on the far spoke", far, ("spoke", j)),
+        ("at the rim vertex", q, ("rimvert", i)),
+        ("outside the chord", chord + (chord - p).scale(STEP), None),
+        ("outside the near spoke", near + (near - r).scale(STEP), None),
+        ("outside the far spoke", far + (far - q).scale(STEP), None),
+        ("outside the rim vertex", q + (q - p).scale(STEP), None),
+    ]
+
+
+def planted_segment(fan, i, x):
+    """A short segment crossing the plane of triangle i properly at x, tilted
+    off its normal."""
+    t = fan.triangles[i]
+    n = (t.q - t.p).cross(t.r - t.p)
+    d = n.scale(Fraction(1, 7 * 64)) + P(Fraction(1, 97), Fraction(-1, 89), Fraction(1, 83))
+    seg = Segment(x - d, x + d.scale(2))
+    assert orient3d(t.p, t.q, t.r, seg.a) == -orient3d(t.p, t.q, t.r, seg.b) != 0
+    return seg
+
+
+def test_planted_crossings_on_and_beside_each_boundary_feature():
+    """The integer miss test keeps every crossing on the closed triangle, a
+    zero weight included, and rejects one a step outside it: the culled
+    route equals the full Fraction loop on segments crossing at each."""
+    for closed in (False, True):
+        fan = cone(TILTED_APEX, TILTED_RIM, closed=closed)
+        for i in range(fan.n_triangles):
+            for name, x, feature in planted_points(fan, i):
+                seg = planted_segment(fan, i, x)
+                got = fan_contact_features(fan, seg)
+                assert got == full_contact_features(fan, seg), (closed, i, name)
+                if feature is not None:
+                    assert feature in got[1], (closed, i, name)
+
+
+def test_a_segment_whose_crossings_all_miss_takes_no_crossing_solve(monkeypatch):
+    """A segment just outside a rim chord crosses planes of the fan only off
+    its triangles, and the integer test rejects each crossing before any
+    Fraction barycentric is computed.  Just beyond the chord the apex
+    weight is negative by less than L times the chord's weight."""
+    calls = []
+    solve = crosscheck._tri_barycentric
+    monkeypatch.setattr(crosscheck, "_tri_barycentric",
+                        lambda tri, x: calls.append(x) or solve(tri, x))
+    for closed in (False, True):
+        fan = cone(TILTED_APEX, TILTED_RIM, closed=closed)
+        for i in range(fan.n_triangles):
+            name, x, _feature = planted_points(fan, i)[4]
+            assert name == "outside the chord"
+            seg = planted_segment(fan, i, x)
+            assert fan_contact_features(fan, seg) == (False, set(), None), (closed, i)
+            assert calls == [], (closed, i)

@@ -3,10 +3,10 @@
 An AST walk over each module that computes a predicate or a verdict finds
 every use of the name ``float``, every float or complex literal, and every
 ``math`` name other than ``gcd`` and ``lcm``.  In ``scene.py`` the walk
-skips only ``icosphere_directions`` and its rounding helper
-``rationalize_toward_zero``, which round square roots to rationals before
-any predicate sees them; the rest of it, ``GridSpec``, ``SceneConfig``,
-``build_scene`` and the shipped configs, which load JSON files, is checked.
+skips only ``icosphere_directions``, which rounds its float net to integer
+numerators before any predicate sees a direction; the rest of it,
+``GridSpec``, ``SceneConfig``, ``build_scene`` and the shipped configs,
+which load JSON files, is checked.
 ``meshio.py``, which formats OBJ output, is exempt.
 """
 
@@ -19,7 +19,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "plgraph"
 EXACT_MODULES = ("exactgeom", "disks", "graphs", "linking", "crosscheck", "verify", "scene")
 # The module-level functions whose bodies may use floats, per module.
 FLOAT_CONSTRUCTORS = {
-    "scene": ("rationalize_toward_zero", "icosphere_directions"),
+    "scene": ("icosphere_directions",),
 }
 MATH_ALLOWED = {"gcd", "lcm"}
 

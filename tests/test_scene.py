@@ -1,5 +1,6 @@
 """Scene construction, invariances, and the placement scan on small scenes."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -118,6 +119,18 @@ class TestConfig:
         assert exc.value.field == field
 
 
+# SHA-256 of the canonical integers of icosphere_directions(f) for
+# f = 1..16, and of upper_sample_points on the control scene at 5 and 60
+# samples (see ireps_digest).
+GOLDEN_NETS = "9e11a462530d7a9f13f57b57d940a5c7ee27b19f37434366495d22c8437a8e39"
+GOLDEN_UPPER_SAMPLES = "374f8f9fbb022d1304eecc368e958047726a8f41282fa8622b627862c934af2b"
+
+
+def ireps_digest(rows) -> str:
+    """The SHA-256 of ``json.dumps`` of nested lists of ireps."""
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
 class TestIcosphere:
     def test_counts_follow_frequency(self):
         assert len(icosphere_directions(1)) == 12
@@ -132,6 +145,18 @@ class TestIcosphere:
         a = icosphere_directions(4)
         b = icosphere_directions(4)
         assert a == b
+
+    def test_nets_keep_their_golden_points(self):
+        """Every net's canonical integers, f = 1..16, in order: the grid and
+        the upper samples are made of these, so a change to how the net is
+        rounded shows here before it shows in a report."""
+        nets = [[list(d.irep) for d in icosphere_directions(f)] for f in range(1, 17)]
+        assert ireps_digest(nets) == GOLDEN_NETS
+
+    def test_upper_samples_keep_their_golden_points(self, control_scene):
+        samples = [[list(p.irep) for p in upper_sample_points(control_scene, n)]
+                   for n in (5, 60)]
+        assert ireps_digest(samples) == GOLDEN_UPPER_SAMPLES
 
     def test_grid_radii_exact(self):
         grid = GridSpec(shells=3, frequency=2)
