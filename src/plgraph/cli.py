@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
@@ -30,7 +31,6 @@ from .scene import (
     MAX_GRID_FREQUENCY,
     MAX_GRID_SHELLS,
     MAX_N,
-    GridSpec,
     SceneConfig,
     build_scene,
     default_paper_config,
@@ -70,12 +70,10 @@ def _parse_rational(text: str) -> Fraction:
 def _apply_overrides(cfg: SceneConfig, args) -> dict:
     overrides = {}
     if getattr(args, "grid_shells", None) is not None:
-        cfg.grid = GridSpec(shells=args.grid_shells, frequency=cfg.grid.frequency,
-                            include_center=cfg.grid.include_center)
+        cfg.grid = replace(cfg.grid, shells=args.grid_shells)
         overrides["grid_shells"] = args.grid_shells
     if getattr(args, "grid_dirs", None) is not None:
-        cfg.grid = GridSpec(shells=cfg.grid.shells, frequency=args.grid_dirs,
-                            include_center=cfg.grid.include_center)
+        cfg.grid = replace(cfg.grid, frequency=args.grid_dirs)
         overrides["grid_dirs"] = args.grid_dirs
     if getattr(args, "n", None) is not None:
         cfg.n = args.n

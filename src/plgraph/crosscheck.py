@@ -75,15 +75,13 @@ result.
 :func:`fan_meets_interior` passes ``cull=False``.  The cull would give the
 same answers and speed up the "no" answers, which still solve every
 triangle (most pairs of the short-arc control), but with it control-t2's
-``scan_s`` went from 0.706 to 0.202 s (seed 31) and 0.669 to 0.208 s (seed
-32), and its ``peak_rss_mb`` from 49.35 to 56.36 MB (+14.2 %) and 48.50 to
-55.11 MB (+13.6 %; 35-s runs on a 2-core host), because ``bench/run.py``
-keeps every repetition's report bytes and a faster equator fits more
-repetitions.  ``peak_rss_mb`` there grows by about 138 KB per repetition
-(47.1 MB at 18 repetitions, 52.1 MB at 54; seed 7), so control-t2 has room
-for only about 1.6 times as many repetitions within the 0.1 bound.  The
-same holds for the integer miss test, which mostly speeds up "no" answers
-too.  Both wait until the benchmark keeps a digest per report.
+``scan_s`` went from 0.693 to 0.184 s and its ``peak_rss_mb`` from 50.50 to
+60.32 MB (+19.4 %; seed 9901, one 35-s run each on a 2-core host), because
+``bench/run.py`` keeps every repetition's report bytes and a faster equator
+fits more repetitions: 233 instead of 87, about 67 KB each.  The 0.1 bound
+leaves room for about 75 more repetitions, not 146.  The same holds for the
+integer miss test, which mostly speeds up "no" answers too.  Both wait
+until the benchmark keeps a digest per report.
 """
 
 from __future__ import annotations

@@ -20,15 +20,15 @@ the independent route.
 segment with :meth:`~plgraph.disks.FanDisk.segment_kind`, the fan's
 early-exit walk over its live triangles (anchor-discounted for the star's
 segments and the equator premise): it stops at the first interior contact
-and builds no crossing point.  A full
-:class:`~plgraph.disks.DiskSegmentResult` from
+and builds no crossing point.  A :class:`Placement` keeps only those
+answers.  A full :class:`~plgraph.disks.DiskSegmentResult` from
 :meth:`~plgraph.disks.FanDisk.classify_segment` is built only for what a
-report writes: the non-disjoint segments of the star's minimal witnesses
-(during the scan), an equator pair called "boundary-only" (its features),
-and, for ``StarReport.to_jsonable(full=True)``, every other placement's
-non-disjoint segments, when the report is serialized (:func:`_with_results`,
-across as many workers as the scan used).  A "disjoint" answer already is
-the full result: no kept contact and no witness.
+report writes: an equator pair called "boundary-only" (its features,
+during the scan), and the non-disjoint segments of each star-report entry
+when the report is written (:func:`_entry`): the minimal witnesses', or,
+for ``StarReport.to_jsonable(full=True)``, every placement's, across as
+many workers as the scan used.  A "disjoint" answer already is the full
+result: no kept contact and no witness.
 
 **One confirmation rule.**  Each fast answer a scan confirms goes to
 :func:`_recheck`, the only caller of :mod:`plgraph.crosscheck`, which shares
@@ -57,7 +57,7 @@ answers are the same either way.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from . import crosscheck
@@ -91,8 +91,8 @@ def _segment_jsonable(res: DiskSegmentResult) -> dict:
 @dataclass(frozen=True)
 class Placement:
     """One grid placement.  ``segments`` holds the walk's answer for each
-    attachment segment (a1x, cx, b1x); ``results`` their full results, once
-    built (:func:`_with_results`), which the report entry needs."""
+    attachment segment (a1x, cx, b1x); the report entry's contacts are
+    built from them when it is written (:func:`_entry`)."""
 
     index: int
     x: ExactPoint
@@ -100,24 +100,6 @@ class Placement:
     blocked: int = 0
     skipped: bool = False
     skip_reason: Optional[str] = None
-    results: Tuple[DiskSegmentResult, ...] = ()
-
-    def to_jsonable(self) -> dict:
-        if len(self.results) != len(self.segments):
-            raise ValueError(f"placement {self.index}: contacts not built")
-        out = {
-            "index": self.index,
-            "x": point_to_json(self.x),
-            "skipped": self.skipped,
-        }
-        if self.skipped:
-            out["skip_reason"] = self.skip_reason
-        if self.segments:
-            out["segments"] = {
-                name: _segment_jsonable(res) for name, res in zip(SEGMENT_NAMES, self.results)
-            }
-            out["blocked"] = self.blocked
-        return out
 
 
 @dataclass(frozen=True)
@@ -128,13 +110,11 @@ class StarReport:
     histogram: Dict[int, int]
     skipped_count: int
     recheck_count: int
-    recheck_all_match: bool
     # The panel fan, the anchors with their discounted features and the
-    # scan's thread count, with which to_jsonable(full=True) builds the
-    # placements' contacts.
-    fan: Optional[FanDisk] = field(default=None, repr=False, compare=False)
-    anchors: tuple = field(default=(), repr=False, compare=False)
-    threads: int = field(default=1, repr=False, compare=False)
+    # scan's thread count, with which to_jsonable builds the entries.
+    fan: FanDisk = field(repr=False, compare=False)
+    anchors: tuple = field(repr=False, compare=False)
+    threads: int = field(repr=False, compare=False)
 
     @property
     def evaluated_count(self) -> int:
@@ -157,51 +137,50 @@ class StarReport:
                 "witness_indices": list(self.witness_indices),
                 "recheck": {
                     "witnesses_rechecked": self.recheck_count,
-                    "all_match": self.recheck_all_match,
+                    # A disagreement raises in verify_star, before any
+                    # report exists.
+                    "all_match": True,
                 },
             },
         }
         if manifest is not None:
             out["manifest"] = manifest
-        if full:
-            out["placements"] = _parallel_map(
-                _full_entry, (self.fan, self.anchors, self.placements),
-                range(len(self.placements)), self.threads)
-        else:
-            out["witnesses"] = [p.to_jsonable() for p in self.witnesses()]
+        ks = range(len(self.placements)) if full else self.witness_indices
+        entries = _parallel_map(_entry, (self.fan, self.anchors, self.placements), ks,
+                                self.threads if full else 1)
+        out["placements" if full else "witnesses"] = entries
         return out
 
 
 def _classify_with_discount(fan: FanDisk, anchor: ExactPoint, anchor_feature,
                             x: ExactPoint) -> DiskSegmentResult:
-    """Classify segment anchor->x against the fan, discounting the contact at
-    the anchor's own rim vertex (pass anchor_feature=None for no discount)."""
+    """Classify segment anchor->x against the fan, discounting the contact on
+    the anchor's own rim-vertex feature (pass anchor_feature=None for no
+    discount), as :meth:`~plgraph.disks.FanDisk.segment_kind` does."""
     res = fan.classify_segment(Segment(anchor, x))
-    kept = tuple(c for c in res.contacts if not (
-        c.feature == anchor_feature and c.seg is None and c.point == anchor))
+    kept = tuple(c for c in res.contacts if c.feature != anchor_feature)
     return DiskSegmentResult(res.kind if kept else "disjoint", kept, res.witness)
 
 
-def _with_results(fan: FanDisk, anchors, p: Placement) -> Placement:
-    """``p`` with the full result of each attachment segment.  A "disjoint"
-    walk answer is one already; the other segments are classified with the
-    anchor's discount.  A placement whose results are built is returned as
-    it is."""
-    if len(p.results) == len(p.segments):
-        return p
-    results = tuple(
-        DiskSegmentResult("disjoint") if answer.kind == "disjoint"
-        else _classify_with_discount(fan, anchor, feat, p.x)
-        for (anchor, feat), answer in zip(anchors, p.segments))
-    return replace(p, results=results)
-
-
-def _full_entry(fan: FanDisk, anchors, placements, k: int, _k: int) -> dict:
-    """The report entry of ``placements[k]`` with its full results
-    (:func:`_with_results`).  :func:`_parallel_map` is given only the
-    indexes: a worker reads the placements from the state it forked with,
-    which spares pickling them (about 0.2 s of the default scene's 5,768)."""
-    return _with_results(fan, anchors, placements[k]).to_jsonable()
+def _entry(fan: FanDisk, anchors, placements, _pos: int, k: int) -> dict:
+    """The report entry of ``placements[k]``.  A "disjoint" walk answer is
+    already the full result; every other segment is classified with the
+    anchor's discount.  :func:`_parallel_map` is given only the indexes: a
+    worker reads the placements from the state it forked with, which spares
+    pickling them (about 0.2 s of the default scene's 5,768)."""
+    p = placements[k]
+    out = {"index": p.index, "x": point_to_json(p.x), "skipped": p.skipped}
+    if p.skipped:
+        out["skip_reason"] = p.skip_reason
+    if p.segments:
+        out["segments"] = {
+            name: _segment_jsonable(
+                DiskSegmentResult("disjoint") if answer.kind == "disjoint"
+                else _classify_with_discount(fan, anchor, feat, p.x))
+            for name, (anchor, feat), answer in zip(SEGMENT_NAMES, anchors, p.segments)
+        }
+        out["blocked"] = p.blocked
+    return out
 
 
 def _recheck(fan: FanDisk, seg: Segment, fast: SegmentKind, anchor_feature=None) -> None:
@@ -297,9 +276,9 @@ def verify_star(scene: Scene, cfg: Optional[SceneConfig] = None,
     three attachment segments meet the panel fan's interior.  The summary
     carries the minimum over non-degenerate placements and every placement
     attaining it, each re-verified by the independent brute-force route (a
-    mismatch raises) and carrying its segments' full contacts; the other
-    placements carry the walk's answers, and ``to_jsonable(full=True)``
-    builds their contacts, with ``threads`` workers too.  The scan is
+    mismatch raises).  Every placement keeps only the walk's answers; the
+    contacts a report entry writes are built when the report is written
+    (``to_jsonable(full=True)`` with ``threads`` workers too).  The scan is
     deterministic for a fixed grid; placements are independent, so
     ``threads > 1`` distributes them across worker processes (see
     :func:`_parallel_map`) without changing the report.
@@ -321,12 +300,10 @@ def verify_star(scene: Scene, cfg: Optional[SceneConfig] = None,
     evaluated = [p for p in placements if not p.skipped]
     min_blocked = min((p.blocked for p in evaluated), default=None)
     witnesses = [p for p in evaluated if p.blocked == min_blocked]
-    # Independent re-verification of every minimal witness, then the
-    # contacts that the report writes for it.
+    # Independent re-verification of every minimal witness.
     for p in witnesses:
         for (anchor, feat), answer in zip(anchors, p.segments):
             _recheck(fan, Segment(anchor, p.x), answer, feat)
-        placements[p.index] = _with_results(fan, anchors, p)
     return StarReport(
         placements=tuple(placements),
         min_blocked=min_blocked,
@@ -334,7 +311,6 @@ def verify_star(scene: Scene, cfg: Optional[SceneConfig] = None,
         histogram=histogram,
         skipped_count=skipped,
         recheck_count=len(witnesses),
-        recheck_all_match=True,
         fan=fan,
         anchors=anchors,
         threads=threads,
@@ -365,7 +341,6 @@ class EquatorReport:
     counter_pairs: Tuple[dict, ...]
     degenerate_pairs: Tuple[dict, ...]
     vacuous: bool
-    recheck_all_match: bool
 
     def to_jsonable(self, manifest: Optional[dict] = None) -> dict:
         out = {
@@ -379,7 +354,9 @@ class EquatorReport:
                 "counter_pair_count": len(self.counter_pairs),
                 "degenerate_pair_count": len(self.degenerate_pairs),
                 "vacuous": self.vacuous,
-                "recheck_all_match": self.recheck_all_match,
+                # A disagreement raises in check_equator_claim, before any
+                # report exists.
+                "recheck_all_match": True,
             },
             "counter_pairs": list(self.counter_pairs[:_REPORT_LIST_CAP]),
             "degenerate_pairs": list(self.degenerate_pairs[:_REPORT_LIST_CAP]),
@@ -484,5 +461,4 @@ def check_equator_claim(scene: Scene, cfg: Optional[SceneConfig] = None,
         counter_pairs=tuple(counter),
         degenerate_pairs=tuple(degenerate),
         vacuous=(pairs == 0),
-        recheck_all_match=True,
     )

@@ -199,7 +199,8 @@ def test_criterion_4_star_refutation(default_scene, default_star):
                 default_scene.gamma_prime, Segment(anchor, w.x))
             spot_ok &= meets == (st.kind == "meets-interior")
     ok = (rep.evaluated_count >= 5000 and rep.min_blocked is not None
-          and rep.min_blocked >= 1 and rep.recheck_all_match
+          and rep.min_blocked >= 1
+          and rep.to_jsonable()["summary"]["recheck"]["all_match"] is True
           and rep.recheck_count == len(rep.witness_indices)
           and spot_ok and default_star.elapsed < 300)
     report_line(4, "statement-star refutation", ok,
@@ -215,7 +216,8 @@ def test_criterion_5_negative_control(control_star):
     witness_clean = bool(rep.witness_indices) and all(
         st.kind == "disjoint" for st in rep.witnesses()[0].segments
     )
-    ok = (rep.min_blocked == 0 and witness_clean and rep.recheck_all_match
+    ok = (rep.min_blocked == 0 and witness_clean
+          and rep.to_jsonable()["summary"]["recheck"]["all_match"] is True
           and control_star.elapsed < 60)
     report_line(5, "harness honesty (negative control)", ok,
                 f"min blocked 0 with {len(rep.witness_indices)} explicit "
@@ -230,7 +232,7 @@ def test_criterion_6_equator(default_equator, control_equator):
     ctl = control_equator.value
     total_elapsed = default_equator.elapsed + control_equator.elapsed
     ok = (rep.pairs_checked >= 500 and len(rep.counter_pairs) == 0
-          and not rep.vacuous and rep.recheck_all_match
+          and not rep.vacuous and rep.to_jsonable()["summary"]["recheck_all_match"] is True
           and len(ctl.counter_pairs) >= 1 and total_elapsed < 120)
     report_line(6, "equator lemma", ok,
                 f"{rep.pairs_checked} premise pairs (>=500), 0 counter-pairs, "

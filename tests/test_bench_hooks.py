@@ -6,17 +6,19 @@ them up (``_SPANNED``: owner and attribute; ``_COUNTED``: the ``exactgeom``
 function and the modules that import it), and its ``_note_result`` counts
 attributes of the scans' reports.  ``bench/scans.py`` checks each written
 report's verdict by its summary keys.  A refactor that drops or moves one of
-those names leaves the program's own tests green but breaks every benchmark
-run and the benchmark's self-test, so the names are checked here.  The
-tracer module is imported as it is, from its file.
+those names, or a parameter that ``bench/scans.py`` or the tracer passes,
+leaves the program's own tests green but breaks every benchmark run and the
+benchmark's self-test, so the names and the call shapes are checked here.
+The tracer module is imported as it is, from its file.
 """
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
 
-from plgraph import disks, exactgeom
+from plgraph import disks, exactgeom, linking, verify
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -78,3 +80,22 @@ def test_scan_reports_hold_what_the_benchmark_reads(control_star, control_equato
     assert min_blocked == 0 and witnesses == rechecked > 0 and match is True
     pairs, vacuous, match = [summary_entry(equator_doc, k) for k in EQUATOR_KEYS]
     assert pairs >= 1 and vacuous is False and match is True
+
+
+# The calls ``bench/scans.py`` makes, and the tracer's ``wrapper(fan, seg)``
+# around ``FanDisk.classify_segment``, as (function, args, kwargs); the
+# values are placeholders, only the shape is bound.
+CALL_SHAPES = [
+    (verify.verify_star, ("sc", "cfg"), {"threads": 1}),
+    (verify.check_equator_claim, ("sc", "cfg"), {"sample_count": 5, "threads": 1}),
+    (verify.StarReport.to_jsonable, ("report",), {"manifest": {}, "full": False}),
+    (verify.EquatorReport.to_jsonable, ("report",), {"manifest": {}}),
+    (linking.pairwise_link_scan, ("emb", 3), {}),
+    (disks.FanDisk.classify_segment, ("fan", "seg"), {}),
+]
+
+
+@pytest.mark.parametrize("fn, args, kwargs", CALL_SHAPES,
+                         ids=[fn.__qualname__ for fn, _, _ in CALL_SHAPES])
+def test_each_benchmark_call_binds(fn, args, kwargs):
+    inspect.signature(fn).bind(*args, **kwargs)

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, reports, manifests, reproducibility."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from plgraph.cli import _manifest
+from plgraph.cli import _apply_overrides, _manifest
 from plgraph.jsonio import canonical_dumps
 from plgraph.linking import MAX_CYCLE_LEN
 from plgraph.scene import (
@@ -16,6 +17,7 @@ from plgraph.scene import (
     MAX_GRID_FREQUENCY,
     MAX_GRID_SHELLS,
     MAX_N,
+    GridSpec,
     control_short_arc_config,
 )
 from plgraph.verify import MAX_SAMPLES
@@ -41,6 +43,14 @@ def test_shipped_control_file_matches_constructor():
     with open(CONTROL, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     assert canonical_dumps(doc) == canonical_dumps(control_short_arc_config().to_jsonable())
+
+
+@pytest.mark.parametrize("option, name", [("grid_shells", "shells"), ("grid_dirs", "frequency")])
+def test_a_grid_override_keeps_every_other_grid_field(option, name):
+    cfg = control_short_arc_config()
+    grid = cfg.grid = GridSpec(shells=2, frequency=3, include_center=True)
+    assert _apply_overrides(cfg, argparse.Namespace(**{option: 1})) == {option: 1}
+    assert vars(cfg.grid) == {**vars(grid), name: 1}
 
 
 class TestVerifyStar:

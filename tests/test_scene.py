@@ -218,7 +218,7 @@ class TestStarScan:
         assert len(rep.witness_indices) > 0
         w = rep.witnesses()[0]
         assert all(st.kind == "disjoint" for st in w.segments)
-        assert rep.recheck_all_match
+        assert rep.to_jsonable()["summary"]["recheck"]["all_match"] is True
 
     def test_exit_code_contract(self, control_star):
         assert star_exit_code(control_star.value) == 2

@@ -1,15 +1,15 @@
 """The scans build full contacts only for the segments a report writes.
 
 Every scan segment is decided by the early-exit walk
-(``FanDisk.segment_kind``); ``FanDisk.classify_segment``, which builds every
-contact and crossing point, runs inside ``verify_star`` only for the
-non-disjoint segments of the minimal witnesses, and inside
-``check_equator_claim`` only for the pairs it reports as boundary-only.
+(``FanDisk.segment_kind``), and a placement keeps only those answers:
+``verify_star`` makes no ``FanDisk.classify_segment`` call, which builds
+every contact and crossing point.  ``StarReport.to_jsonable`` makes one per
+non-disjoint segment of each entry it writes (the minimal witnesses', or
+with ``full=True`` every placement's), and still writes the golden bytes.
+``check_equator_claim`` makes one per pair it reports as boundary-only.
 The control scene's equator check reports no boundary-only pair, so grazing
-samples are planted for that count.
-``StarReport.to_jsonable(full=True)`` builds the other placements' contacts
-when it writes them, and still writes the golden bytes.  Calls are counted
-through a file, so that the workers' calls count too.
+samples are planted for that count.  Calls are counted through a file, so
+that the workers' calls count too.
 """
 
 import hashlib
@@ -61,17 +61,17 @@ def test_full_contacts_only_for_reported_segments(request, count_full, which, th
     scene = request.getfixturevalue("control_scene" if which == "control"
                                     else "reduced_default_scene")
     star = verify_star(scene, threads=threads)
-    witnesses = star.witnesses()
-    assert count_full() == non_disjoint(witnesses)
-    assert all(len(w.results) == 3 for w in witnesses)
-    others = [p for p in star.placements if p.index not in set(star.witness_indices)]
-    assert not any(p.results for p in others)
+    assert count_full() == 0
+    witnesses = canonical_dumps(star.to_jsonable())
+    reported = non_disjoint(star.witnesses())
+    assert count_full() == reported
     full = canonical_dumps(star.to_jsonable(full=True))
-    assert count_full() == non_disjoint(others) > 0
+    assert count_full() == non_disjoint(star.placements) > reported
     if which == "control":
-        assert hashlib.sha256(full.encode("utf-8")).hexdigest() == GOLDEN["control"]["star"]
+        for doc, key in ((witnesses, "witnesses"), (full, "star")):
+            assert hashlib.sha256(doc.encode("utf-8")).hexdigest() == GOLDEN["control"][key]
     else:
-        assert star.min_blocked == 1 and non_disjoint(witnesses) == len(witnesses)
+        assert star.min_blocked == 1 and reported == len(star.witness_indices)
     samples = 5 if which == "control" else 10
     equator = check_equator_claim(scene, sample_count=samples, threads=threads)
     assert count_full() == len(equator.degenerate_pairs)
